@@ -44,8 +44,14 @@
 // both describe the last run.
 //
 // -faults takes a fault-injection spec (see internal/fault.ParseSpec),
-// e.g. "seed=1;kill=12@40;kill=30@90;drop=*>0@p0.01", and switches the
-// run onto the fault-tolerant farm protocol.
+// e.g. "seed=1;kill=12@40;kill=30@90;drop=*>0@p0.01", and turns on the
+// farm's per-job deadlines (-deadline, or derived from the workload),
+// retry and blacklisting. Every run — classic, affinity, batched,
+// multi-chip, faulted — goes through the same farm loop; the one
+// combination it does not support is -faults with -affinity (a fault
+// plan over per-worker queues), rejected up front with exit status 2.
+// With an empty plan ("seed=1") the report table and -scores-out dump
+// are byte-identical to the fault-free run.
 //
 // -chips N shards the pair matrix across N simulated SCC chips joined
 // by a board-level interconnect: a root master on chip 0 scatters whole
@@ -119,9 +125,10 @@ const maxChips = 64
 // diagnostic before the dataset is even loaded, resolving the job
 // ordering, the interchip profile and the gather topology. Values with
 // documented sentinel semantics (-structcache -1, -tile -1, -batch 0,
-// -polling 0) stay valid. The remaining single-chip-only features
-// (-hierarchy, -membudget) are rejected in combination with -chips > 1
-// here, so the conflict costs one line instead of a loaded dataset.
+// -polling 0) stay valid. Unsupported combinations — -affinity with
+// -faults at any chip count, and the single-chip-only -hierarchy and
+// -membudget with -chips > 1 — are rejected here, so the conflict costs
+// one line instead of a loaded dataset.
 func validateFlags(f cliFlags) (sched.Order, interchip.Config, farm.GatherConfig, error) {
 	var icfg interchip.Config
 	var gcfg farm.GatherConfig
@@ -179,14 +186,15 @@ func validateFlags(f cliFlags) (sched.Order, interchip.Config, farm.GatherConfig
 	if gcfg, err = farm.ParseGatherSpec(f.Gather); err != nil {
 		return 0, icfg, gcfg, fmt.Errorf("-gather %q: %v", f.Gather, err)
 	}
+	if f.Affinity && f.FaultSpec != "" {
+		return 0, icfg, gcfg, fmt.Errorf("-affinity with -faults is unsupported (fault-tolerant farms take a single job queue)")
+	}
 	if f.Chips > 1 {
 		switch {
 		case f.Hierarchy > 0:
 			return 0, icfg, gcfg, fmt.Errorf("-chips %d with -hierarchy is unsupported (the chips are the hierarchy)", f.Chips)
 		case f.MemBudget > 0:
 			return 0, icfg, gcfg, fmt.Errorf("-chips %d with -membudget is unsupported (tiled runs are single-chip)", f.Chips)
-		case f.Affinity && f.FaultSpec != "":
-			return 0, icfg, gcfg, fmt.Errorf("-chips %d with -affinity and -faults is unsupported (dynamic farms have no fault-tolerant variant)", f.Chips)
 		}
 	}
 	return ord, icfg, gcfg, nil
@@ -210,7 +218,7 @@ func main() {
 	structCache := flag.Int("structcache", 0, "slave-side structure-cache capacity in structures (0 = off, the paper's wire; -1 = derive from the per-core memory budget)")
 	batch := flag.Int("batch", 0, "bundle up to this many jobs per request message (0 or 1 = one message per job)")
 	tile := flag.Int("tile", 0, "blocked pair-ordering tile size (0 = auto when caching/batching/affinity is on; -1 = force off)")
-	affinity := flag.Bool("affinity", false, "pin whole tile blocks to slaves (max cache reuse, coarser balance; fault-free runs only)")
+	affinity := flag.Bool("affinity", false, "pin whole tile blocks to slaves (max cache reuse, coarser balance; not with -faults)")
 	scoresOut := flag.String("scores-out", "", "write the (last) run's per-pair TM-align scores, sorted by pair, to this file")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry snapshot of the (last) run as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON of the (last) run to this file")

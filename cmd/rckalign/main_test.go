@@ -55,6 +55,7 @@ func TestValidateFlags(t *testing.T) {
 			f.Affinity = true
 			f.FaultSpec = "kill=3@10"
 		}, "-affinity"},
+		{"affinity with faults", func(f *cliFlags) { f.Affinity = true; f.FaultSpec = "seed=1" }, "-affinity"},
 		{"chips with hierarchy", func(f *cliFlags) { f.Chips = 2; f.Hierarchy = 4 }, "-hierarchy"},
 		{"chips with membudget", func(f *cliFlags) { f.Chips = 2; f.MemBudget = 5000 }, "-membudget"},
 		{"single chip keeps faults", func(f *cliFlags) { f.Chips = 1; f.FaultSpec = "kill=3@10" }, ""},

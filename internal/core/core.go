@@ -304,12 +304,13 @@ type Config struct {
 	// Affinity assigns whole tile blocks to slaves (heaviest-first onto
 	// the least-loaded queue) and farms per-slave queues, so each
 	// block's structures ship to exactly one slave — maximum cache
-	// reuse at the price of coarser load balance. Fault-free flat path
-	// only (the per-slave-queue farm has no fault-tolerant variant).
+	// reuse at the price of coarser load balance. Fault-free runs only:
+	// the farm rejects a fault plan over more than one queue
+	// (rckskel.ErrFaultsMultiQueue).
 	Affinity bool
 	// Faults, when non-nil, arms the deterministic fault injector for
 	// the run and switches the master onto the fault-tolerant farm
-	// protocol. Only the flat single-master path supports faults; the
+	// protocol. The flat and multi-chip paths support faults; the
 	// hierarchical and tiled paths reject a plan up front.
 	Faults *fault.Plan
 	// FT tunes the fault-tolerant protocol (only consulted when Faults
@@ -445,23 +446,69 @@ func Run(pr *PairResults, slaves int, cfg Config) (RunResult, error) {
 		}
 		return runHierarchical(pr, slaves, cfg)
 	}
-	if cfg.Affinity && cfg.Faults != nil {
-		return RunResult{}, fmt.Errorf("core: affinity farming: %w", farm.ErrFaultsUnsupported)
+	w, ordered, err := cfg.wirePlan(pr)
+	if err != nil {
+		return RunResult{}, err
 	}
-	lengths := pr.lengths()
-	cacheCap := cfg.cacheCapacity(lengths)
-	tile := cfg.tileSize(cacheCap)
 	fcfg := cfg.session(slaves)
 	fcfg.Batch = cfg.Batch
-	fcfg.CacheStructs = cacheCap
-	// The affinity path farms per-slave queues through FarmDynamic,
-	// which has no fault-tolerant variant; declaring it lets the farm
-	// layer reject a fault plan at construction.
-	fcfg.Dynamic = cfg.Affinity
+	fcfg.CacheStructs = w.cacheCap
 	s, err := farm.NewSession(fcfg)
 	if err != nil {
 		return RunResult{}, err
 	}
+	src, err := cfg.startShard(s, pr, ordered, 0, w)
+	if err != nil {
+		return RunResult{}, err
+	}
+	rep, err := s.Run("", func(m *farm.Master) {
+		// One-time load of every structure by the master (the design
+		// choice Experiment I validates).
+		m.LoadResidues(pr.Dataset.TotalResidues())
+		m.Farm(src, nil)
+		m.Terminate()
+	})
+	rep.Prune = cfg.Prune
+	return RunResult{Report: rep}, err
+}
+
+// wire is a run's resolved wire shape, shared by every shard: chain
+// lengths, the blocked-ordering tile, the per-slave cache capacity and
+// the structure wire model PrepareJobs sizes requests with.
+type wire struct {
+	lengths        []int
+	tile, cacheCap int
+	model          farm.WireModel
+}
+
+// wirePlan resolves the run's wire shape and orders its pair list.
+func (cfg Config) wirePlan(pr *PairResults) (wire, []sched.Pair, error) {
+	w := wire{lengths: pr.lengths()}
+	w.cacheCap = cfg.cacheCapacity(w.lengths)
+	w.tile = cfg.tileSize(w.cacheCap)
+	sizes := make([]int, len(w.lengths))
+	for i, l := range w.lengths {
+		sizes[i] = StructBytes(l)
+	}
+	w.model = farm.WireModel{
+		StructsOf: func(j rckskel.Job) []int {
+			p := j.Payload.(sched.Pair)
+			return []int{p.I, p.J}
+		},
+		Sizes: sizes,
+	}
+	ordered, err := cfg.orderedPairs(pr, w.lengths, w.tile)
+	return w, ordered, err
+}
+
+// startShard readies one session — the flat run's, or one chip's of a
+// multi-chip run — to farm pairs: it installs the workload-derived
+// fault-tolerant deadline, starts the slaves, and turns pairs into the
+// session's job source (job IDs from idBase): one shared queue, or
+// with Affinity one queue per worker holding whole tile blocks
+// (heaviest-first onto the least-loaded queue), so each block's
+// structures ship to exactly one slave. An empty shard farms nothing.
+func (cfg Config) startShard(s *farm.Session, pr *PairResults, pairs []sched.Pair, idBase int, w wire) (rckskel.Source, error) {
 	opScale := s.Placement().OpScale
 	if cfg.Faults != nil && cfg.FT.JobDeadlineSeconds == 0 {
 		d := DeriveJobDeadline(pr, cfg.Chip.CPU, opScale)
@@ -478,89 +525,35 @@ func Run(pr *PairResults, slaves int, cfg Config) (RunResult, error) {
 		return res, res.Ops.Scaled(opScale), ResultBytes(res.Len2)
 	}
 	if cfg.Batch > 1 {
-		s.StartSlaves(farm.BatchHandler(handler))
-	} else {
-		s.StartSlaves(handler)
+		handler = farm.BatchHandler(handler)
 	}
-	ordered, err := cfg.orderedPairs(pr, lengths, tile)
-	if err != nil {
-		return RunResult{}, err
+	s.StartSlaves(handler)
+	if len(pairs) == 0 {
+		return rckskel.Source{}, nil
 	}
-	sizes := make([]int, len(lengths))
-	for i, l := range lengths {
-		sizes[i] = StructBytes(l)
-	}
-	wm := farm.WireModel{
-		StructsOf: func(j rckskel.Job) []int {
-			p := j.Payload.(sched.Pair)
-			return []int{p.I, p.J}
-		},
-		Sizes: sizes,
-	}
-	if cfg.Affinity {
-		queues, err := affinityQueues(s, ordered, lengths, tile, wm)
+	if !cfg.Affinity {
+		jobs, err := farm.BuildJobs(pairs, idBase, pairBytes(w.lengths))
 		if err != nil {
-			return RunResult{}, err
+			return rckskel.Source{}, err
 		}
-		var farmErr error
-		rep, err := s.Run("", func(m *farm.Master) {
-			m.LoadResidues(pr.Dataset.TotalResidues())
-			queueOf := map[int]int{}
-			for w, lead := range s.Placement().WorkerLeads {
-				queueOf[lead] = w
-			}
-			heads := make([]int, len(queues))
-			_, farmErr = m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
-				w := queueOf[slave]
-				if heads[w] >= len(queues[w]) {
-					return rckskel.Job{}, false
-				}
-				j := queues[w][heads[w]]
-				heads[w]++
-				return j, true
-			}, nil)
-			m.Terminate()
-		})
-		if err == nil {
-			err = farmErr
-		}
-		rep.Prune = cfg.Prune
-		return RunResult{Report: rep}, err
+		return rckskel.Shared(s.PrepareJobs(jobs, w.model)), nil
 	}
-	jobs, err := farm.BuildJobs(ordered, 0, pairBytes(lengths))
-	if err != nil {
-		return RunResult{}, err
-	}
-	jobs = s.PrepareJobs(jobs, wm)
-	rep, err := s.Run("", func(m *farm.Master) {
-		// One-time load of every structure by the master (the design
-		// choice Experiment I validates).
-		m.LoadResidues(pr.Dataset.TotalResidues())
-		m.Farm(jobs, nil)
-		m.Terminate()
-	})
-	rep.Prune = cfg.Prune
-	return RunResult{Report: rep}, err
-}
-
-// affinityQueues deals the tile blocks of the ordered pair list onto
-// one job queue per placed worker and applies the session's wire shape
-// (cache sizing, batching) to each queue. Job IDs stay globally unique
-// across queues.
-func affinityQueues(s *farm.Session, ordered []sched.Pair, lengths []int, tile int, wm farm.WireModel) ([][]rckskel.Job, error) {
-	workers := len(s.Placement().WorkerLeads)
-	assign := sched.AffinityAssign(ordered, workers, tile, sched.LengthProductCost(lengths))
+	leads := s.Placement().WorkerLeads
+	assign := sched.AffinityAssign(pairs, len(leads), w.tile, sched.LengthProductCost(w.lengths))
 	queues := make([][]rckskel.Job, len(assign))
-	idBase := 0
-	for w, ps := range assign {
-		jobs, err := farm.BuildJobs(ps, idBase, pairBytes(lengths))
+	for q, ps := range assign {
+		jobs, err := farm.BuildJobs(ps, idBase, pairBytes(w.lengths))
 		if err != nil {
-			return nil, err
+			return rckskel.Source{}, err
 		}
 		idBase += len(ps)
-		queues[w] = s.PrepareJobs(jobs, wm)
+		queues[q] = s.PrepareJobs(jobs, w.model)
 	}
-	return queues, nil
+	queueOf := make(map[int]int, len(leads))
+	for q, lead := range leads {
+		queueOf[lead] = q
+	}
+	return rckskel.Source{Queues: queues, QueueOf: func(slave int) int { return queueOf[slave] }}, nil
 }
 
 // RunSweep simulates rckAlign for each slave count and returns the

@@ -67,7 +67,7 @@ func scoresDump(t *testing.T, pr *PairResults, chips int, mutate func(*MultiChip
 
 // TestGatherScoresByteIdenticalToFlat is the aggregation correctness
 // golden: at every chip count, under every gather topology, fault-free
-// and with FARMFT kills, the multi-chip run yields the byte-identical
+// and with fault-plan kills, the multi-chip run yields the byte-identical
 // scores dump the flat single-master run produces. Aggregation, the
 // gather tree and per-chip fault recovery may change timing and wire
 // accounting — never results.

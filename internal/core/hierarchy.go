@@ -82,7 +82,9 @@ func runHierarchical(pr *PairResults, slaves int, cfg Config) (RunResult, error)
 		rt.Chip.SpawnCore(subMasters[i], func(p *sim.Process) {
 			m := rt.Comm.Recv(p, root, subMasters[i])
 			jobs := m.Payload.([]rckskel.Job)
-			stats := teams[i].FARM(p, jobs, func(r rckskel.Result) { s.Collect(r) })
+			// Faults were rejected up front, so these teams carry no FT
+			// and the single-queue farm cannot fail.
+			stats, _, _ := teams[i].Farm(p, rckskel.Shared(jobs), func(r rckskel.Result) { s.Collect(r) })
 			teams[i].Terminate(p)
 			rt.Comm.Send(p, subMasters[i], root, 64, partitionDone{stats: stats})
 		})

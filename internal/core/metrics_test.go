@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rckalign/internal/farm"
+	"rckalign/internal/fault"
 	"rckalign/internal/metrics"
 	"rckalign/internal/trace"
 )
@@ -90,6 +91,29 @@ func TestMetricsReportBlock(t *testing.T) {
 		if !strings.Contains(buf.String(), track) {
 			t.Errorf("chrome trace missing counter track %s", track)
 		}
+	}
+}
+
+// TestMetricsStagesUnderEmptyFaultPlan: the fault-tolerant farm records
+// the same per-job latency decomposition as the classic one — every
+// stage once per job, with identical aggregates when nothing is
+// injected.
+func TestMetricsStagesUnderEmptyFaultPlan(t *testing.T) {
+	classic, _, _ := metricsRun(t, 7)
+	cfg := DefaultConfig()
+	cfg.Metrics = metrics.New()
+	cfg.Faults = &fault.Plan{}
+	ft, err := Run(smallPR, 7, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"dispatch_wait", "input_xfer", "compute", "result_xfer", "collect_wait"} {
+		if got := ft.Metrics.JobStages[stage].Count; got != 28 {
+			t.Errorf("stage %s count = %d under an empty plan, want 28", stage, got)
+		}
+	}
+	if !reflect.DeepEqual(ft.Metrics.JobStages, classic.Metrics.JobStages) {
+		t.Errorf("empty-plan job stages diverge:\n got %+v\nwant %+v", ft.Metrics.JobStages, classic.Metrics.JobStages)
 	}
 }
 

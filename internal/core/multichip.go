@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"rckalign/internal/costmodel"
 	"rckalign/internal/farm"
 	"rckalign/internal/interchip"
 	"rckalign/internal/rckskel"
@@ -82,11 +81,11 @@ func shardWireBytes(shard []sched.Pair, lengths []int) int64 {
 // chip), and farmed hierarchically: root master on chip 0 scatters the
 // shards over the interchip fabric, each chip's sub-master farms its
 // shard on its own mesh, and results return as aggregate blobs up the
-// configured gather topology. Fault plans (core ids global across the
-// board) run FARMFT per chip; affinity farming deals each shard onto
-// that chip's workers. Only the on-chip master hierarchy stays a
-// single-chip feature (the chips are the hierarchy), and — as on the
-// flat path — affinity and faults are mutually exclusive.
+// configured gather topology. Each chip session is readied exactly as
+// the flat run's (startShard): fault plans (core ids global across the
+// board) run the fault-tolerant farm per chip, and affinity farming
+// deals each shard onto that chip's workers. Only the on-chip master
+// hierarchy stays a single-chip feature (the chips are the hierarchy).
 func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunResult, error) {
 	if cfg.Chips <= 1 {
 		return Run(pr, slavesPerChip, cfg.Config)
@@ -94,18 +93,12 @@ func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunR
 	if cfg.Hierarchy > 0 {
 		return RunResult{}, fmt.Errorf("core: multi-chip run does not support the on-chip master hierarchy (chips are the hierarchy)")
 	}
-	if cfg.Affinity && cfg.Faults != nil {
-		return RunResult{}, fmt.Errorf("core: affinity farming: %w", farm.ErrFaultsUnsupported)
-	}
 
-	lengths := pr.lengths()
-	cacheCap := cfg.cacheCapacity(lengths)
-	tile := cfg.tileSize(cacheCap)
-	ordered, err := cfg.orderedPairs(pr, lengths, tile)
+	w, ordered, err := cfg.wirePlan(pr)
 	if err != nil {
 		return RunResult{}, err
 	}
-	shards, err := sched.ShardPairs(ordered, cfg.Chips, cfg.shardTileSize(tile), sched.LengthProductCost(lengths))
+	shards, err := sched.ShardPairs(ordered, cfg.Chips, cfg.shardTileSize(w.tile), sched.LengthProductCost(w.lengths))
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -120,99 +113,29 @@ func RunMultiChip(pr *PairResults, slavesPerChip int, cfg MultiChipConfig) (RunR
 		Metrics:          cfg.Metrics,
 		Collector:        cfg.Collector,
 		Batch:            cfg.Batch,
-		CacheStructs:     cacheCap,
+		CacheStructs:     w.cacheCap,
 		Gather:           cfg.Gather,
 		Faults:           cfg.Faults,
 		FT:               cfg.FT,
-		Dynamic:          cfg.Affinity,
 	})
 	if err != nil {
 		return RunResult{}, err
 	}
-	opScale := ms.ChipSession(0).Placement().OpScale
-	if cfg.Faults != nil && cfg.FT.JobDeadlineSeconds == 0 {
-		d := DeriveJobDeadline(pr, cfg.Chip.CPU, opScale)
-		if cfg.Batch > 1 {
-			// A batch is one fault-tolerance unit of up to Batch jobs:
-			// its deadline must cover them back to back.
-			d *= float64(cfg.Batch)
-		}
-		ms.SetJobDeadline(d)
-	}
-	handler := func(job rckskel.Job) (any, costmodel.Counter, int) {
-		p := job.Payload.(sched.Pair)
-		res := pr.Get(p)
-		return res, res.Ops.Scaled(opScale), ResultBytes(res.Len2)
-	}
-	if cfg.Batch > 1 {
-		ms.StartSlaves(farm.BatchHandler(handler))
-	} else {
-		ms.StartSlaves(handler)
-	}
-
-	sizes := make([]int, len(lengths))
-	for i, l := range lengths {
-		sizes[i] = StructBytes(l)
-	}
-	wm := farm.WireModel{
-		StructsOf: func(j rckskel.Job) []int {
-			p := j.Payload.(sched.Pair)
-			return []int{p.I, p.J}
-		},
-		Sizes: sizes,
-	}
+	// Job IDs stay globally unique across chips (and queues).
+	srcs := make([]rckskel.Source, cfg.Chips)
 	shardBytes := make([]int64, cfg.Chips)
-	for c, shard := range shards {
-		if len(shard) > 0 {
-			shardBytes[c] = shardWireBytes(shard, lengths)
-		}
-	}
-
-	load := pr.Dataset.TotalResidues()
-	if cfg.Affinity {
-		// Deal each shard onto its own chip's workers, exactly as the
-		// flat affinity path deals the whole pair list; job IDs stay
-		// globally unique across chips and queues.
-		queues := make([][][]rckskel.Job, cfg.Chips)
-		idBase := 0
-		for c, shard := range shards {
-			if len(shard) == 0 {
-				continue
-			}
-			sess := ms.ChipSession(c)
-			workers := len(sess.Placement().WorkerLeads)
-			assign := sched.AffinityAssign(shard, workers, tile, sched.LengthProductCost(lengths))
-			qs := make([][]rckskel.Job, len(assign))
-			for w, ps := range assign {
-				jobs, err := farm.BuildJobs(ps, idBase, pairBytes(lengths))
-				if err != nil {
-					return RunResult{}, err
-				}
-				idBase += len(ps)
-				qs[w] = sess.PrepareJobs(jobs, wm)
-			}
-			queues[c] = qs
-		}
-		rep, err := ms.RunAffinity(load, queues, shardBytes)
-		rep.Prune = cfg.Prune
-		return RunResult{Report: rep}, err
-	}
-
-	queues := make([][]rckskel.Job, cfg.Chips)
 	idBase := 0
 	for c, shard := range shards {
-		if len(shard) == 0 {
-			continue
-		}
-		jobs, err := farm.BuildJobs(shard, idBase, pairBytes(lengths))
-		if err != nil {
+		if srcs[c], err = cfg.startShard(ms.ChipSession(c), pr, shard, idBase, w); err != nil {
 			return RunResult{}, err
 		}
 		idBase += len(shard)
-		queues[c] = ms.ChipSession(c).PrepareJobs(jobs, wm)
+		if len(shard) > 0 {
+			shardBytes[c] = shardWireBytes(shard, w.lengths)
+		}
 	}
 
-	rep, err := ms.Run(load, queues, shardBytes)
+	rep, err := ms.Run(pr.Dataset.TotalResidues(), srcs, shardBytes)
 	rep.Prune = cfg.Prune
 	return RunResult{Report: rep}, err
 }

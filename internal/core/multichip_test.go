@@ -192,9 +192,9 @@ func TestMultiChipRejections(t *testing.T) {
 	}
 	reject("hierarchy", func(cfg *MultiChipConfig) { cfg.Hierarchy = 4 })
 	reject("slaves", func(cfg *MultiChipConfig) { cfg.Config.Chip.TilesX = 1; cfg.Config.Chip.TilesY = 2 })
-	// Affinity and faults stay mutually exclusive (FarmDynamic has no
-	// fault-tolerant variant), and a plan must not kill any chip's
-	// master (every chip's local core 0).
+	// Affinity and faults stay mutually exclusive (a fault plan over
+	// per-worker queues), and a plan must not kill any chip's master
+	// (every chip's local core 0).
 	reject("affinity+faults", func(cfg *MultiChipConfig) {
 		cfg.Affinity = true
 		cfg.Faults = &fault.Plan{}
@@ -204,8 +204,8 @@ func TestMultiChipRejections(t *testing.T) {
 	})
 }
 
-// TestMultiChipFaults: a fault plan with global core ids runs FARMFT
-// per chip — kills on two different chips are recovered, every pair
+// TestMultiChipFaults: a fault plan with global core ids runs the
+// fault-tolerant farm per chip — kills on two different chips are recovered, every pair
 // still completes exactly once, and the merged fault block reports
 // global ids.
 func TestMultiChipFaults(t *testing.T) {

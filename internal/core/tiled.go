@@ -150,7 +150,7 @@ func RunTiled(pr *PairResults, slaves int, cfg TiledConfig) (TiledRunResult, err
 			if len(pairs) == 0 {
 				return
 			}
-			m.Farm(jobsFor(pairs), nil)
+			m.Farm(rckskel.Shared(jobsFor(pairs)), nil)
 		}
 
 		// Diagonal tiles: within-block pairs.

@@ -128,8 +128,9 @@ func TestBatchingRelievesMasterMailbox(t *testing.T) {
 }
 
 // TestWireEquivalenceUnderFaults runs the cached+batched wire through
-// FARMFT with mid-run core kills: a batch is one fault-tolerance unit,
-// and recovery must still deliver every pair exactly once.
+// the fault-tolerant farm with mid-run core kills: a batch is one
+// fault-tolerance unit, and recovery must still deliver every pair
+// exactly once.
 func TestWireEquivalenceUnderFaults(t *testing.T) {
 	pr := synthCK34PR()
 	base, err := Run(pr, 47, DefaultConfig())

@@ -6,8 +6,8 @@
 // the same pair payloads, and collection unwraps batched results back
 // into per-job results, so application output (TM-align scores) is
 // bit-identical to the classic one-message-per-job farm. Because a
-// batch is just a Job with a BatchPayload, the classic FARM and the
-// fault-tolerant FARMFT run it unchanged — a batch times out, retries
+// batch is just a Job with a BatchPayload, the farm loop runs it
+// unchanged with deadlines on or off — a batch times out, retries
 // and reassigns as one unit.
 package farm
 

@@ -184,7 +184,7 @@ func TestBatchedCachedFarmEndToEnd(t *testing.T) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e5}, 64
 	}))
 	rep, err := s.Run("", func(m *Master) {
-		m.Farm(wired, nil)
+		m.Farm(rckskel.Shared(wired), nil)
 		m.Terminate()
 	})
 	if err != nil {

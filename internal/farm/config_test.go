@@ -87,51 +87,45 @@ func TestNewSessionRejectsBadFaultPlan(t *testing.T) {
 	}
 }
 
-func TestNewSessionRejectsDynamicWithFaults(t *testing.T) {
-	// A dynamic (pull-based) session has no fault-tolerant farm variant,
-	// so configuring both used to panic deep inside FarmDynamic at run
-	// time. The combination is now a typed construction error.
-	cfg := farm.Config{
-		MasterCore: 0,
-		Slaves:     4,
-		Dynamic:    true,
-		Faults:     &fault.Plan{},
-	}
-	if _, err := farm.NewSession(cfg); !errors.Is(err, farm.ErrDynamicFaults) {
-		t.Errorf("NewSession error = %v, want errors.Is ErrDynamicFaults", err)
-	}
-	// Dynamic without faults is fine.
-	cfg.Faults = nil
-	if _, err := farm.NewSession(cfg); err != nil {
-		t.Errorf("dynamic session without faults rejected: %v", err)
-	}
-}
-
 func TestFarmDynamicOnFaultTolerantSessionErrors(t *testing.T) {
-	// Backstop for sessions that configured faults without declaring
-	// Dynamic: calling FarmDynamic mid-run returns the typed error
-	// instead of panicking, and the run still terminates cleanly.
-	s, err := farm.NewSession(farm.Config{
-		MasterCore: 0,
-		Slaves:     4,
-		Faults:     &fault.Plan{},
-		FT:         rckskel.FTConfig{JobDeadlineSeconds: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A multi-queue (per-worker or per-method) farm on a fault-tolerant
+	// session is the one unsupported combination: the farm returns the
+	// typed error before dispatching anything, the run still terminates
+	// cleanly, and Run reports the error. Without a fault plan the same
+	// farm runs every job.
+	twoQueues := func() rckskel.Source {
+		jobs := intJobs(8)
+		return rckskel.Source{
+			Queues:  [][]rckskel.Job{jobs[:4], jobs[4:]},
+			QueueOf: func(slave int) int { return slave % 2 },
+		}
 	}
-	s.StartSlaves(countJobs)
-	var farmErr error
-	if _, err := s.Run("", func(m *farm.Master) {
-		_, farmErr = m.FarmDynamic(
-			func(int) (rckskel.Job, bool) { return rckskel.Job{}, false },
-			nil)
-		m.Terminate()
-	}); err != nil {
-		t.Fatalf("run failed: %v", err)
+	run := func(plan *fault.Plan) (farm.Report, error) {
+		s, err := farm.NewSession(farm.Config{
+			MasterCore: 0,
+			Slaves:     4,
+			Faults:     plan,
+			FT:         rckskel.FTConfig{JobDeadlineSeconds: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.StartSlaves(countJobs)
+		return s.Run("", func(m *farm.Master) {
+			m.Farm(twoQueues(), nil)
+			m.Terminate()
+		})
 	}
-	if !errors.Is(farmErr, farm.ErrDynamicFaults) {
-		t.Errorf("FarmDynamic error = %v, want errors.Is ErrDynamicFaults", farmErr)
+	rep, err := run(&fault.Plan{})
+	if !errors.Is(err, rckskel.ErrFaultsMultiQueue) {
+		t.Errorf("fault-tolerant multi-queue farm: err = %v, want errors.Is ErrFaultsMultiQueue", err)
+	}
+	if rep.Collected != 0 {
+		t.Errorf("rejected farm still collected %d results", rep.Collected)
+	}
+	rep, err = run(nil)
+	if err != nil || rep.Collected != 8 {
+		t.Errorf("fault-free multi-queue farm: collected %d, err %v; want 8, nil", rep.Collected, err)
 	}
 }
 
@@ -163,7 +157,7 @@ func TestSessionFaultTolerantKillRun(t *testing.T) {
 	s.StartSlaves(countJobs)
 	got := map[int]int{}
 	rep, err := s.Run("", func(m *farm.Master) {
-		m.Farm(intJobs(24), func(r rckskel.Result) { got[r.JobID]++ })
+		m.Farm(rckskel.Shared(intJobs(24)), func(r rckskel.Result) { got[r.JobID]++ })
 		m.Terminate()
 	})
 	if err != nil {
@@ -201,7 +195,7 @@ func TestSessionClassicRunHasNoFaultsBlock(t *testing.T) {
 	}
 	s.StartSlaves(countJobs)
 	rep, err := s.Run("", func(m *farm.Master) {
-		m.Farm(intJobs(6), nil)
+		m.Farm(rckskel.Shared(intJobs(6)), nil)
 		m.Terminate()
 	})
 	if err != nil {

@@ -14,9 +14,16 @@
 //	s.StartSlaves(handler)
 //	rep, err := s.Run("", func(m *farm.Master) {
 //	        m.LoadResidues(ds.TotalResidues())
-//	        m.Farm(jobs, nil)
+//	        m.Farm(rckskel.Shared(jobs), nil)
 //	        m.Terminate()
 //	})
+//
+// Every farm a session runs is rckskel's one pull-based loop: a single
+// shared queue (the paper's FARM), one queue per worker (cache-affinity
+// farming) or one queue per method (MC-PSC), each with the fault
+// plan's deadlines on or off. The loop itself rejects the one
+// unsupported combination — a fault plan with more than one queue
+// (rckskel.ErrFaultsMultiQueue) — and Session.Run returns that error.
 package farm
 
 import (
@@ -146,18 +153,12 @@ type Config struct {
 	// model (the paper's ship-both-structures wire). Applied by
 	// PrepareJobs.
 	CacheStructs int
-	// Dynamic declares that the session's master will pull jobs through
-	// FarmDynamic (per-slave queues, partitioned multi-method farms).
-	// Dynamic farming has no fault-tolerant variant, so a session that
-	// sets both Dynamic and Faults is rejected at construction with
-	// ErrDynamicFaults — instead of failing at farm time.
-	Dynamic bool
 	// Faults, when non-nil, runs the session fault-tolerantly: the plan
-	// is injected (kills, stalls, link faults) and the farm uses
-	// deadline-based detection with retry, reassignment and
-	// blacklisting. A non-nil but empty plan exercises the
-	// fault-tolerant machinery with nothing injected — the report must
-	// come out identical to the classic path.
+	// is injected (kills, stalls, link faults) and the session's team
+	// gets FT, so its farms use deadline-based detection with retry,
+	// reassignment and blacklisting. A non-nil but empty plan exercises
+	// the fault-tolerant machinery with nothing injected — the report
+	// must come out identical to the classic path.
 	Faults *fault.Plan
 	// FT tunes the fault-tolerant farm (deadlines, blacklisting).
 	// Ignored when Faults is nil.
@@ -380,6 +381,9 @@ type Session struct {
 	rep      Report
 	injector *fault.Injector
 	ft       rckskel.FTStats
+	// farmErr is the first error a farm of the master body returned;
+	// Run reports it.
+	farmErr error
 	// labels scope this session's fixed metric keys (multi-chip runs
 	// label each chip session "chip"/"cN"; nil on classic sessions, so
 	// their keys stay bit-identical).
@@ -411,9 +415,6 @@ func newSession(cfg Config, rt Runtime, labels []string) (*Session, error) {
 	place, err := Place(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Dynamic && cfg.Faults != nil {
-		return nil, fmt.Errorf("farm: %w", ErrDynamicFaults)
 	}
 	rec := cfg.Trace
 	if rec == nil {
@@ -461,16 +462,13 @@ func newSession(cfg Config, rt Runtime, labels []string) (*Session, error) {
 	return s, nil
 }
 
-// FaultTolerant reports whether the session runs the fault-tolerant
-// farm path (a fault plan was configured, possibly empty).
-func (s *Session) FaultTolerant() bool { return s.cfg.Faults != nil }
-
 // Injector returns the armed fault injector (nil on the classic path).
 func (s *Session) Injector() *fault.Injector { return s.injector }
 
 // SetJobDeadline overrides the fault-tolerant job deadline after
 // construction; core.Run uses it to install a workload-derived deadline
-// when the config left JobDeadlineSeconds at zero.
+// when the config left JobDeadlineSeconds at zero. It takes effect for
+// every farm started afterwards.
 func (s *Session) SetJobDeadline(seconds float64) { s.cfg.FT.JobDeadlineSeconds = seconds }
 
 // ValidateJobs rejects nil or empty job lists with ErrNoJobs and jobs
@@ -512,8 +510,8 @@ func (s *Session) Team() *rckskel.Team {
 }
 
 // NewTeam builds an additional team (e.g. a sub-master partition of a
-// hierarchical farm) with the session's polling and trace settings
-// applied.
+// hierarchical farm) with the session's polling, trace and fault-
+// tolerance settings applied.
 func (s *Session) NewTeam(master int, slaves []int) *rckskel.Team {
 	t := rckskel.NewTeam(s.rt.Comm, master, slaves)
 	if s.cfg.PollingScale >= 0 {
@@ -521,37 +519,27 @@ func (s *Session) NewTeam(master int, slaves []int) *rckskel.Team {
 	}
 	t.Trace = s.rec
 	t.SetMetrics(s.cfg.Metrics, s.labels...)
+	if s.cfg.Faults != nil {
+		t.FT = &s.cfg.FT
+	}
 	return t
 }
 
 // Metrics returns the session's metrics registry (nil when disabled).
 func (s *Session) Metrics() *metrics.Registry { return s.cfg.Metrics }
 
-// StartSlaves spawns the default team's slave loops with one handler
-// (the fault-tolerant variant when a fault plan is configured).
-func (s *Session) StartSlaves(h rckskel.Handler) {
-	if s.FaultTolerant() {
-		s.Team().StartSlavesFT(h)
-		return
-	}
-	s.Team().StartSlaves(h)
-}
+// StartSlaves spawns the default team's slave loops with one handler.
+func (s *Session) StartSlaves(h rckskel.Handler) { s.Team().StartSlaves(h) }
 
 // StartSlavesWith spawns the default team's slave loops with a per-core
 // handler (different cores may run different comparison methods).
-func (s *Session) StartSlavesWith(h func(core int) rckskel.Handler) {
-	if s.FaultTolerant() {
-		s.Team().StartSlavesFTWith(h)
-		return
-	}
-	s.Team().StartSlavesWith(h)
-}
+func (s *Session) StartSlavesWith(h func(core int) rckskel.Handler) { s.Team().StartSlavesWith(h) }
 
 // Collect performs the session's result bookkeeping: batched results
 // are unwrapped into their per-job sub-results, each result is
-// counted, and forwarded to the configured Collector. Farm and
-// FarmDynamic call it for every result; run paths with bespoke
-// collection loops (the distributed baseline) call it directly.
+// counted, and forwarded to the configured Collector. Farm calls it
+// for every result; run paths with bespoke collection loops (the
+// distributed baseline) call it directly.
 func (s *Session) Collect(r rckskel.Result) { s.deliver(r, nil) }
 
 // deliver unwraps BatchResults (attributing sub-results to the
@@ -592,11 +580,15 @@ func (s *Session) mergeStats(st rckskel.Stats) {
 // master process ("" = "master"); on-chip masters are named after their
 // core. Slaves must have been started (or custom core processes
 // spawned) before Run is called, matching the construction order of the
-// hand-rolled run paths this layer replaces.
+// hand-rolled run paths this layer replaces. The error is the engine's
+// (a deadlock), else the first error a farm of the body returned.
 func (s *Session) Run(name string, body func(m *Master)) (Report, error) {
 	s.SpawnMaster(name, body)
 	err := s.rt.Engine.Run()
 	s.finalize()
+	if err == nil {
+		err = s.farmErr
+	}
 	return s.rep, err
 }
 
@@ -728,25 +720,22 @@ func (m *Master) LoadResidues(n int) {
 	m.s.rep.LoadSeconds = m.P.Now()
 }
 
-// Farm executes the jobs on the default team (the paper's FARM
-// construct; FARMFT when a fault plan is configured), routing every
-// result through the session's collection bookkeeping and then collect
-// (may be nil). It returns this farm's statistics; the report
-// accumulates them across calls.
-func (m *Master) Farm(jobs []rckskel.Job, collect func(rckskel.Result)) rckskel.Stats {
-	wrapped := func(r rckskel.Result) { m.s.deliver(r, collect) }
-	if m.s.FaultTolerant() {
-		st, ft := m.s.Team().FARMFT(m.P, jobs, m.s.cfg.FT, wrapped)
-		m.s.mergeStats(st)
-		m.s.mergeFT(ft)
-		return st
-	}
-	st := m.s.Team().FARM(m.P, jobs, wrapped)
+// Farm executes src on the default team (rckskel's farm loop, fault-
+// tolerant when a fault plan is configured), routing every result
+// through the session's collection bookkeeping and then collect (may be
+// nil). The report accumulates every farm's statistics; a farm error
+// (rckskel.ErrFaultsMultiQueue) is kept for Session.Run to return, and
+// the body should still Terminate normally.
+func (m *Master) Farm(src rckskel.Source, collect func(rckskel.Result)) {
+	st, ft, err := m.s.Team().Farm(m.P, src, func(r rckskel.Result) { m.s.deliver(r, collect) })
 	m.s.mergeStats(st)
-	return st
+	m.s.mergeFT(ft)
+	if err != nil && m.s.farmErr == nil {
+		m.s.farmErr = fmt.Errorf("farm: %w", err)
+	}
 }
 
-// mergeFT folds one FARMFT execution's fault statistics into the
+// mergeFT folds one farm execution's fault statistics into the
 // session.
 func (s *Session) mergeFT(ft rckskel.FTStats) {
 	s.ft.Timeouts += ft.Timeouts
@@ -756,23 +745,6 @@ func (s *Session) mergeFT(ft rckskel.FTStats) {
 	s.ft.DuplicatesDropped += ft.DuplicatesDropped
 	s.ft.LostJobs += ft.LostJobs
 	s.ft.Blacklisted = append(s.ft.Blacklisted, ft.Blacklisted...)
-}
-
-// FarmDynamic is Farm with a pull-based job source: next(slave) supplies
-// the next job for that slave (partitioned multi-method farms). It has
-// no fault-tolerant variant: sessions built on it declare Config.Dynamic
-// so a fault plan is rejected at construction; as a backstop, calling it
-// on a fault-tolerant session returns ErrDynamicFaults before any job
-// is dispatched (the master body should still Terminate normally).
-func (m *Master) FarmDynamic(next func(slave int) (rckskel.Job, bool), collect func(rckskel.Result)) (rckskel.Stats, error) {
-	if m.s.FaultTolerant() {
-		return rckskel.Stats{}, fmt.Errorf("farm: %w", ErrDynamicFaults)
-	}
-	st := m.s.Team().FARMDynamic(m.P, next, func(r rckskel.Result) {
-		m.s.deliver(r, collect)
-	})
-	m.s.mergeStats(st)
-	return st, nil
 }
 
 // MergeStats folds an externally executed farm's statistics into the
@@ -789,15 +761,8 @@ func (m *Master) AddMethodBusy(method string, seconds float64) {
 	m.s.rep.BusySecondsPerMethod[method] += seconds
 }
 
-// Terminate shuts down the default team's slaves (via the stop latch
-// and straggler drain on the fault-tolerant path).
-func (m *Master) Terminate() {
-	if m.s.FaultTolerant() {
-		m.s.Team().TerminateFT(m.P)
-		return
-	}
-	m.s.Team().Terminate(m.P)
-}
+// Terminate shuts down the default team's slaves.
+func (m *Master) Terminate() { m.s.Team().Terminate(m.P) }
 
 // String renders a one-line report summary.
 func (r Report) String() string {

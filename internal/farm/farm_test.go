@@ -167,7 +167,7 @@ func TestSessionRunsAFarm(t *testing.T) {
 	})
 	rep, err := s.Run("", func(m *Master) {
 		m.LoadResidues(1000)
-		m.Farm(jobs, nil)
+		m.Farm(rckskel.Shared(jobs), nil)
 		m.Terminate()
 	})
 	if err != nil {

@@ -124,32 +124,19 @@ type MultiConfig struct {
 	Gather GatherConfig
 	// Faults, when non-nil, runs every chip session fault-tolerantly:
 	// the plan's core ids are global across the board (chip = id /
-	// coresPerChip) and are split per chip with fault.SplitPlan, so
-	// FARMFT runs on each shard with that chip's slice of the plan.
-	// Every chip — faulted or not — runs the fault-tolerant protocol,
-	// keeping the shards' dispatch machinery uniform.
+	// coresPerChip) and are split per chip with fault.SplitPlan, so each
+	// shard's farm runs with that chip's slice of the plan. Every chip —
+	// faulted or not — runs the fault-tolerant protocol, keeping the
+	// shards' dispatch machinery uniform.
 	Faults *fault.Plan
 	// FT tunes the fault-tolerant farm on every chip (ignored when
 	// Faults is nil).
 	FT rckskel.FTConfig
-	// Dynamic declares that shards will be farmed through RunAffinity
-	// (per-worker pull queues); Dynamic and Faults together are
-	// rejected at construction, exactly as on the flat path.
-	Dynamic bool
-}
-
-// shardWork is one chip's prepared workload: either a single job queue
-// (classic FARM) or per-worker queues (affinity / FarmDynamic). An
-// empty shardWork farms nothing.
-type shardWork struct {
-	jobs   []rckskel.Job
-	queues [][]rckskel.Job
 }
 
 // MultiSession is a constructed multi-chip farm: one chip-level Session
-// per chip on a shared runtime. Start slaves per chip, prepare each
-// chip's job queue through its session (ChipSession(c).PrepareJobs),
-// then call Run (or RunAffinity).
+// per chip on a shared runtime. Start slaves and prepare each chip's
+// job source through its session (ChipSession(c)), then call Run.
 type MultiSession struct {
 	cfg      MultiConfig
 	gather   GatherConfig
@@ -163,7 +150,6 @@ type MultiSession struct {
 	aggWireBytes int64
 	aggMessages  int64
 	gatherLat    map[int][]float64
-	runErr       error
 }
 
 // NewMultiSession validates the configuration and builds the runtime
@@ -212,7 +198,6 @@ func NewMultiSession(cfg MultiConfig) (*MultiSession, error) {
 			Collector:        cfg.Collector,
 			Batch:            cfg.Batch,
 			CacheStructs:     cfg.CacheStructs,
-			Dynamic:          cfg.Dynamic,
 			FT:               cfg.FT,
 		}
 		if plans != nil {
@@ -241,34 +226,15 @@ func (ms *MultiSession) Gather() GatherConfig { return ms.gather }
 // Runtime returns the shared runtime (engine, chips, fabric).
 func (ms *MultiSession) Runtime() Runtime { return ms.rt }
 
-// ChipSession returns chip c's Session (for PrepareJobs, placement
-// inspection and custom slave start).
+// ChipSession returns chip c's Session (for slave start, PrepareJobs,
+// placement inspection and the fault-tolerant deadline).
 func (ms *MultiSession) ChipSession(c int) *Session { return ms.sessions[c] }
 
-// SetJobDeadline installs the fault-tolerant job deadline on every chip
-// session (multi-chip analogue of Session.SetJobDeadline).
-func (ms *MultiSession) SetJobDeadline(seconds float64) {
-	for _, s := range ms.sessions {
-		s.SetJobDeadline(seconds)
-	}
-}
-
-// StartSlaves spawns every chip's slave loops with the same handler
-// (the fault-tolerant variant on every chip when a fault plan is
-// configured).
-func (ms *MultiSession) StartSlaves(h rckskel.Handler) {
-	for _, s := range ms.sessions {
-		s.StartSlaves(h)
-	}
-}
-
-// shardMsg hands a chip its workload; the modelled fabric bytes are the
-// shard descriptor plus the structure payloads (computed by the caller,
-// who owns the wire model). Exactly one of jobs/queues is set (queues
-// for affinity farming).
+// shardMsg hands a chip its job source; the modelled fabric bytes are
+// the shard descriptor plus the structure payloads (computed by the
+// caller, who owns the wire model).
 type shardMsg struct {
-	jobs   []rckskel.Job
-	queues [][]rckskel.Job
+	src rckskel.Source
 }
 
 // aggMsg is one aggregate result blob travelling up the gather
@@ -343,76 +309,12 @@ func (ms *MultiSession) noteGatherHop(now float64, msg interchip.Message) {
 	}
 }
 
-// noteErr keeps the first farm error raised inside a master body.
-func (ms *MultiSession) noteErr(err error) {
-	if err != nil && ms.runErr == nil {
-		ms.runErr = err
-	}
-}
-
-// farmShard runs one chip's workload on its own team: classic FARM (or
-// FARMFT) for a single queue, FarmDynamic pull scheduling for per-worker
-// affinity queues. collect observes every result (may be nil).
-func farmShard(m *Master, w shardWork, collect func(rckskel.Result)) error {
-	if w.queues != nil {
-		queueOf := map[int]int{}
-		for i, lead := range m.Session().Placement().WorkerLeads {
-			queueOf[lead] = i
-		}
-		heads := make([]int, len(w.queues))
-		_, err := m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
-			q := queueOf[slave]
-			if heads[q] >= len(w.queues[q]) {
-				return rckskel.Job{}, false
-			}
-			j := w.queues[q][heads[q]]
-			heads[q]++
-			return j, true
-		}, collect)
-		return err
-	}
-	if len(w.jobs) > 0 {
-		m.Farm(w.jobs, collect)
-	}
-	return nil
-}
-
-// Run executes the multi-chip farm: queues[c] is chip c's prepared job
-// queue (possibly empty), shardBytes[c] the fabric cost of handing
+// Run executes the multi-chip farm: srcs[c] is chip c's prepared job
+// source (possibly empty), shardBytes[c] the fabric cost of handing
 // chip c its shard (ignored for chip 0), loadResidues the root's
 // one-time dataset load. It spawns every sub-master and the root,
 // drives the shared engine to completion, and returns the combined
-// report.
-func (ms *MultiSession) Run(loadResidues int, queues [][]rckskel.Job, shardBytes []int64) (Report, error) {
-	n := ms.Chips()
-	if len(queues) != n || len(shardBytes) != n {
-		return Report{}, fmt.Errorf("farm: multi-chip run wants %d queues and shard sizes, got %d and %d",
-			n, len(queues), len(shardBytes))
-	}
-	work := make([]shardWork, n)
-	for c := range queues {
-		work[c] = shardWork{jobs: queues[c]}
-	}
-	return ms.run(loadResidues, work, shardBytes)
-}
-
-// RunAffinity is Run with per-worker pull queues: queues[c][w] is the
-// job queue of chip c's worker w (the cache-affinity deal). The session
-// must have been constructed with Dynamic set.
-func (ms *MultiSession) RunAffinity(loadResidues int, queues [][][]rckskel.Job, shardBytes []int64) (Report, error) {
-	n := ms.Chips()
-	if len(queues) != n || len(shardBytes) != n {
-		return Report{}, fmt.Errorf("farm: multi-chip run wants %d queue sets and shard sizes, got %d and %d",
-			n, len(queues), len(shardBytes))
-	}
-	work := make([]shardWork, n)
-	for c := range queues {
-		work[c] = shardWork{queues: queues[c]}
-	}
-	return ms.run(loadResidues, work, shardBytes)
-}
-
-// run spawns the sub-masters and the root and drives the shared engine.
+// report with the engine's error, else the first chip farm's.
 //
 // Protocol: the root scatters one shardMsg per remote chip, then farms
 // its own shard. A sub-master receives its shard (always the first
@@ -422,8 +324,12 @@ func (ms *MultiSession) RunAffinity(loadResidues int, queues [][][]rckskel.Job, 
 // upward and forwards a gatherDone once every child subtree reported.
 // The root drains blobs and gatherDone markers from its direct children
 // only — O(arity) flows instead of one stream per chip per pair.
-func (ms *MultiSession) run(loadResidues int, work []shardWork, shardBytes []int64) (Report, error) {
+func (ms *MultiSession) Run(loadResidues int, srcs []rckskel.Source, shardBytes []int64) (Report, error) {
 	n := ms.Chips()
+	if len(srcs) != n || len(shardBytes) != n {
+		return Report{}, fmt.Errorf("farm: multi-chip run wants %d job sources and shard sizes, got %d and %d",
+			n, len(srcs), len(shardBytes))
+	}
 	fabric := ms.rt.Fabric
 	copy(ms.shardBytes, shardBytes)
 	ms.shardBytes[0] = 0
@@ -437,7 +343,7 @@ func (ms *MultiSession) run(loadResidues int, work []shardWork, shardBytes []int
 			msg := fabric.Recv(m.P, c)
 			sm := msg.Payload.(shardMsg)
 			agg := &aggregator{ms: ms, m: m, chip: c, parent: parent}
-			ms.noteErr(farmShard(m, shardWork{jobs: sm.jobs, queues: sm.queues}, agg.collect))
+			m.Farm(sm.src, agg.collect)
 			agg.flush()
 			m.Terminate()
 			for pending := len(kids); pending > 0; {
@@ -462,9 +368,9 @@ func (ms *MultiSession) run(loadResidues int, work []shardWork, shardBytes []int
 			m.LoadResidues(loadResidues)
 		}
 		for c := 1; c < n; c++ {
-			fabric.Send(m.P, 0, c, int(ms.shardBytes[c]), shardMsg{jobs: work[c].jobs, queues: work[c].queues})
+			fabric.Send(m.P, 0, c, int(ms.shardBytes[c]), shardMsg{src: srcs[c]})
 		}
-		ms.noteErr(farmShard(m, work[0], nil))
+		m.Farm(srcs[0], nil)
 		m.Terminate()
 		// Gather: aggregate blobs and gather-done markers arrive through
 		// the root inbox from the root's direct children only; per-pair
@@ -483,8 +389,10 @@ func (ms *MultiSession) run(loadResidues int, work []shardWork, shardBytes []int
 	})
 
 	err := ms.rt.Engine.Run()
-	if err == nil {
-		err = ms.runErr
+	for _, s := range ms.sessions {
+		if err == nil {
+			err = s.farmErr
+		}
 	}
 	return ms.finalize(), err
 }

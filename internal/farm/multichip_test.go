@@ -28,18 +28,34 @@ func multiChipRun(t *testing.T, chips, slaves int, queues [][]rckskel.Job, reg *
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+	startAll(ms, func(job rckskel.Job) (any, costmodel.Counter, int) {
 		return job.Payload, costmodel.Counter{ScoreEvals: 1e6}, 64
 	})
 	shardBytes := make([]int64, chips)
 	for c := range shardBytes {
 		shardBytes[c] = ShardHeaderBytes + int64(len(queues[c]))*512
 	}
-	rep, err := ms.Run(1000, queues, shardBytes)
+	rep, err := ms.Run(1000, shared(queues), shardBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rep, collected
+}
+
+// startAll starts every chip's slaves with one handler.
+func startAll(ms *MultiSession, h rckskel.Handler) {
+	for c := 0; c < ms.Chips(); c++ {
+		ms.ChipSession(c).StartSlaves(h)
+	}
+}
+
+// shared makes each chip's queue its single shared job source.
+func shared(queues [][]rckskel.Job) []rckskel.Source {
+	srcs := make([]rckskel.Source, len(queues))
+	for c, q := range queues {
+		srcs[c] = rckskel.Shared(q)
+	}
+	return srcs
 }
 
 func synthQueues(chips, perChip int) [][]rckskel.Job {
@@ -211,7 +227,7 @@ func TestMultiChipValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ms.Run(0, make([][]rckskel.Job, 3), make([]int64, 3)); err == nil {
+	if _, err := ms.Run(0, make([]rckskel.Source, 3), make([]int64, 3)); err == nil {
 		t.Error("expected error for mismatched queue count")
 	}
 	if _, err := NewMultiSession(MultiConfig{
@@ -234,11 +250,11 @@ func TestMultiChipInterchipProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms.StartSlaves(func(job rckskel.Job) (any, costmodel.Counter, int) {
+		startAll(ms, func(job rckskel.Job) (any, costmodel.Counter, int) {
 			return nil, costmodel.Counter{ScoreEvals: 1e6}, 64
 		})
 		queues := synthQueues(2, 8)
-		rep, err := ms.Run(1000, queues, []int64{0, ShardHeaderBytes + 8*512})
+		rep, err := ms.Run(1000, shared(queues), []int64{0, ShardHeaderBytes + 8*512})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,13 +27,8 @@ var (
 	// faults aimed at the master, bad probabilities).
 	ErrFaultPlan = errors.New("invalid fault plan")
 	// ErrFaultsUnsupported reports a run path that cannot execute
-	// fault-tolerantly (hierarchical and partitioned farms).
+	// fault-tolerantly (the hierarchical and tiled masters).
 	ErrFaultsUnsupported = errors.New("fault injection unsupported for this path")
-	// ErrDynamicFaults reports a fault plan configured on a dynamic
-	// (pull-based) session: FarmDynamic has no fault-tolerant variant,
-	// so the combination is rejected at construction instead of
-	// failing mid-run.
-	ErrDynamicFaults = errors.New("dynamic (pull-based) farms cannot run fault-tolerantly")
 )
 
 // Placement assigns slave cores and groups them into worker processes.

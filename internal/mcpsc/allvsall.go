@@ -142,7 +142,6 @@ func RunAllVsAll(ds *synth.Dataset, methods []Method, partition []int, cfg RunCo
 			return AllVsAllResult{}, err
 		}
 	}
-	heads := make([]int, len(methods))
 	cpu := cfg.Chip.CPU
 	rb := cfg.resultBytes()
 	prefetchQueues(cfg.Store, ds, methods, queues, func(pl any) (*pdb.Structure, *pdb.Structure) {
@@ -159,18 +158,9 @@ func RunAllVsAll(ds *synth.Dataset, methods []Method, partition []int, cfg RunCo
 		}
 	})
 
-	var farmErr error
 	rep, err := s.Run("", func(m *farm.Master) {
 		m.LoadResidues(ds.TotalResidues())
-		_, farmErr = m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
-			mi := methodOf[slave]
-			if heads[mi] >= len(queues[mi]) {
-				return rckskel.Job{}, false
-			}
-			j := queues[mi][heads[mi]]
-			heads[mi]++
-			return j, true
-		}, func(r rckskel.Result) {
+		m.Farm(methodQueues(queues, methodOf), func(r rckskel.Result) {
 			sc := r.Payload.(Score)
 			pair := pairs[r.JobID%len(pairs)]
 			mat := out.Similarity[sc.Method]
@@ -180,9 +170,6 @@ func RunAllVsAll(ds *synth.Dataset, methods []Method, partition []int, cfg RunCo
 		})
 		m.Terminate()
 	})
-	if err == nil {
-		err = farmErr
-	}
 	out.Report = rep
 	return out, err
 }

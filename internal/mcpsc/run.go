@@ -49,19 +49,22 @@ func DefaultRunConfig() RunConfig {
 }
 
 // session maps an MC-PSC config onto the farm harness. MC-PSC always
-// uses the paper's busy polling (PollingScale 1) and pulls jobs through
-// FarmDynamic, so the session is declared Dynamic (fault plans are
-// rejected at construction rather than mid-run).
+// uses the paper's busy polling (PollingScale 1) and runs fault-free.
 func (cfg RunConfig) session(slaves int) farm.Config {
 	return farm.Config{
 		Backend:      farm.SCCSim{Chip: cfg.Chip},
 		MasterCore:   cfg.MasterCore,
 		Slaves:       slaves,
 		PollingScale: 1,
-		Dynamic:      true,
 		Trace:        cfg.Trace,
 		Collector:    cfg.Collector,
 	}
+}
+
+// methodQueues is the farm source of a partitioned run: one job queue
+// per method, each slave pulling from its method's queue.
+func methodQueues(queues [][]rckskel.Job, methodOf map[int]int) rckskel.Source {
+	return rckskel.Source{Queues: queues, QueueOf: func(slave int) int { return methodOf[slave] }}
 }
 
 // resultBytes returns the configured result wire-size model.
@@ -173,7 +176,6 @@ func RunOneVsAll(ds *synth.Dataset, query int, methods []Method, slaves int, cfg
 			})
 		}
 	}
-	heads := make([]int, len(methods))
 	rb := cfg.resultBytes()
 	prefetchQueues(cfg.Store, ds, methods, queues, func(pl any) (*pdb.Structure, *pdb.Structure) {
 		p := pl.(payload)
@@ -198,27 +200,15 @@ func RunOneVsAll(ds *synth.Dataset, query int, methods []Method, slaves int, cfg
 		out.PerMethod[m.Name()] = make([]float64, len(targets))
 	}
 
-	var farmErr error
 	rep, err := s.Run("", func(m *farm.Master) {
 		m.LoadResidues(ds.TotalResidues())
-		_, farmErr = m.FarmDynamic(func(slave int) (rckskel.Job, bool) {
-			mi := methodOf[slave]
-			if heads[mi] >= len(queues[mi]) {
-				return rckskel.Job{}, false
-			}
-			j := queues[mi][heads[mi]]
-			heads[mi]++
-			return j, true
-		}, func(r rckskel.Result) {
+		m.Farm(methodQueues(queues, methodOf), func(r rckskel.Result) {
 			sc := r.Payload.(Score)
 			pl := payloadOf(r.JobID, len(targets))
 			out.PerMethod[sc.Method][pl] = sc.Value
 		})
 		m.Terminate()
 	})
-	if err == nil {
-		err = farmErr
-	}
 	out.Report = rep
 	out.Report.Prune = pruneRep
 	if err != nil {

@@ -15,6 +15,7 @@ package rcce
 
 import (
 	"fmt"
+	"math"
 
 	"rckalign/internal/metrics"
 	"rckalign/internal/scc"
@@ -177,7 +178,7 @@ func (c *Comm) Send(p *sim.Process, src, dst, bytes int, payload any) {
 		return
 	}
 	m.Corrupt = m.Corrupt || out.Corrupt
-	p.SetBlockDetail(fmt.Sprintf("rcce send %d->%d (%d bytes)", src, dst, bytes))
+	p.SetBlockDetailf("rcce send %d->%d (%d bytes)", src, dst, bytes)
 	c.pair(src, dst).req.Send(p, m)
 	// Rendezvous reached: the receiver is joined on the message's done
 	// latch. The sender stages the payload out of its DRAM (through its
@@ -210,57 +211,34 @@ func (c *Comm) Recv(p *sim.Process, src, dst int) Message {
 // RecvTimed is Recv with the wait/transfer split reported alongside the
 // message; the farm layers use it to decompose per-job latencies.
 func (c *Comm) RecvTimed(p *sim.Process, src, dst int) (Message, RecvTiming) {
-	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d", dst, src))
+	m, tm, _ := c.RecvWithin(p, src, dst, math.Inf(1), nil)
+	return m, tm
+}
+
+// RecvWithin is the general receive behind Recv and RecvTimed. d bounds
+// the whole operation (waiting for the sender plus the transfer; +Inf =
+// unbounded, with no timer scheduled), and stop, when non-nil, aborts
+// the wait once it fires with no rendezvous yet — the slave loops of
+// fault-tolerant farms use it to observe the master's broadcast stop
+// flag. It returns ok=false on either cutoff (after a timeout the sender
+// may still be mid-transfer; its completion latch fires into the void),
+// else the message and its wait/transfer split. The primitive the
+// process parks on already names src->dst for deadlock reports, so no
+// per-receive label is built.
+func (c *Comm) RecvWithin(p *sim.Process, src, dst int, d float64, stop *sim.Latch) (Message, RecvTiming, bool) {
 	pc := c.pair(src, dst)
 	start := p.Now()
-	m := pc.req.Recv(p).(Message)
+	v, ok := pc.req.RecvWithin(p, d, stop)
+	if !ok {
+		return Message{}, RecvTiming{}, false
+	}
+	m := v.(Message)
 	rdv := p.Now()
-	m.done.Wait(p)
-	p.SetBlockDetail("")
-	c.recvBytes[dst].Add(float64(m.Bytes))
-	return m, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}
-}
-
-// RecvTimeout is Recv with a deadline over the whole operation (waiting
-// for the sender plus the transfer). It returns ok=false when the
-// deadline passes first — the sender may still be mid-transfer; its
-// completion latch fires into the void.
-func (c *Comm) RecvTimeout(p *sim.Process, src, dst int, d float64) (Message, bool) {
-	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d (timeout %.3gs)", dst, src, d))
-	defer p.SetBlockDetail("")
-	pc := c.pair(src, dst)
-	start := p.Now()
-	v, ok := pc.req.RecvTimeout(p, d)
-	if !ok {
-		return Message{}, false
-	}
-	m := v.(Message)
-	remaining := d - (p.Now() - start)
-	if remaining < 0 {
-		remaining = 0
-	}
-	if !m.done.WaitTimeout(p, remaining) {
-		return Message{}, false
+	if !m.done.WaitTimeout(p, d-(rdv-start)) {
+		return Message{}, RecvTiming{}, false
 	}
 	c.recvBytes[dst].Add(float64(m.Bytes))
-	return m, true
-}
-
-// RecvOrLatch is Recv aborted by a latch: it returns ok=false once l
-// fires with no message rendezvous yet. The slave loops of fault-
-// tolerant farms use it to observe the master's broadcast stop flag.
-func (c *Comm) RecvOrLatch(p *sim.Process, src, dst int, l *sim.Latch) (Message, bool) {
-	p.SetBlockDetail(fmt.Sprintf("rcce recv %d<-%d (or stop)", dst, src))
-	defer p.SetBlockDetail("")
-	pc := c.pair(src, dst)
-	v, ok := pc.req.RecvOrLatch(p, l)
-	if !ok {
-		return Message{}, false
-	}
-	m := v.(Message)
-	m.done.Wait(p)
-	c.recvBytes[dst].Add(float64(m.Bytes))
-	return m, true
+	return m, RecvTiming{WaitSeconds: rdv - start, XferSeconds: p.Now() - rdv}, true
 }
 
 // Probe reports whether a sender on (src, dst) is already blocked in

@@ -10,8 +10,8 @@ import (
 	"rckalign/internal/sim"
 )
 
-// setupFT is setup with the fault-tolerant slave loop.
-func setupFT(slaves int, h Handler) (*sim.Engine, *Team) {
+// setupFT is setup for a fault-tolerant team tuned by cfg.
+func setupFT(slaves int, h Handler, cfg FTConfig) (*sim.Engine, *Team) {
 	e := sim.NewEngine()
 	chip := scc.New(e, scc.DefaultConfig())
 	comm := rcce.New(chip)
@@ -20,16 +20,18 @@ func setupFT(slaves int, h Handler) (*sim.Engine, *Team) {
 		ids[i] = i + 1
 	}
 	t := NewTeam(comm, 0, ids)
-	t.StartSlavesFT(h)
+	t.FT = &cfg
+	t.StartSlaves(h)
 	return e, t
 }
 
-func runMasterFT(e *sim.Engine, t *Team, body func(p *sim.Process)) error {
-	t.Comm.Chip().SpawnCore(t.Master, func(p *sim.Process) {
-		body(p)
-		t.TerminateFT(p)
-	})
-	return e.Run()
+// farmFT runs jobs through the fault-tolerant team's shared queue.
+func farmFT(t *Team, p *sim.Process, jobs []Job, collect func(Result)) FTStats {
+	_, ft, err := t.Farm(p, Shared(jobs), collect)
+	if err != nil {
+		panic(err)
+	}
+	return ft
 }
 
 // jobSeconds returns the simulated compute time of one doubler(cost) job.
@@ -38,7 +40,7 @@ func jobSeconds(cost uint64) float64 {
 }
 
 // deadCoreWire drops messages to fail-stopped cores, the minimal wire
-// model FARMFT's detection relies on (fault.Injector provides it in
+// model the fault-tolerant farm's detection relies on (fault.Injector provides it in
 // production).
 type deadCoreWire struct {
 	dead map[int]bool
@@ -66,26 +68,17 @@ func TestFARMFTFaultFreeMatchesFARM(t *testing.T) {
 			ids[i] = i + 1
 		}
 		team := NewTeam(comm, 0, ids)
+		if ft {
+			team.FT = &FTConfig{JobDeadlineSeconds: 1e6}
+		}
+		team.StartSlaves(doubler(cost))
 		var st Stats
 		var order []int
-		collect := func(r Result) { order = append(order, r.JobID) }
-		if ft {
-			team.StartSlavesFT(doubler(cost))
-			err := runMasterFT(e, team, func(p *sim.Process) {
-				cfg := FTConfig{JobDeadlineSeconds: 1e6}
-				st, _ = team.FARMFT(p, intJobs(nJobs), cfg, collect)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			team.StartSlaves(doubler(cost))
-			err := runMaster(e, team, func(p *sim.Process) {
-				st = team.FARM(p, intJobs(nJobs), collect)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		err := runMaster(e, team, func(p *sim.Process) {
+			st = farmAll(team, p, intJobs(nJobs), func(r Result) { order = append(order, r.JobID) })
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		return st, order
 	}
@@ -102,7 +95,7 @@ func TestFARMFTFaultFreeMatchesFARM(t *testing.T) {
 func TestFARMFTRecoversFromKill(t *testing.T) {
 	const cost, nJobs = 200000, 30
 	js := jobSeconds(cost)
-	e, team := setupFT(4, doubler(cost))
+	e, team := setupFT(4, doubler(cost), FTConfig{JobDeadlineSeconds: 3 * js})
 	chip := team.Comm.Chip()
 	wire := &deadCoreWire{dead: map[int]bool{}}
 	team.Comm.SetInterposer(wire)
@@ -110,9 +103,8 @@ func TestFARMFTRecoversFromKill(t *testing.T) {
 
 	got := map[int]int{}
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
-		cfg := FTConfig{JobDeadlineSeconds: 3 * js}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(r Result) {
+	err := runMaster(e, team, func(p *sim.Process) {
+		ft = farmFT(team, p, intJobs(nJobs), func(r Result) {
 			if _, dup := got[r.JobID]; dup {
 				t.Errorf("job %d collected twice", r.JobID)
 			}
@@ -154,12 +146,12 @@ func (w *corruptOnceWire) Deliver(p *sim.Process, m *rcce.Message) rcce.Outcome 
 
 func TestFARMFTRetriesCorruptResult(t *testing.T) {
 	const cost, nJobs = 50000, 12
-	e, team := setupFT(3, doubler(cost))
+	e, team := setupFT(3, doubler(cost), FTConfig{})
 	team.Comm.SetInterposer(&corruptOnceWire{src: 2, dst: 0})
 	got := map[int]int{}
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
-		_, ft = team.FARMFT(p, intJobs(nJobs), FTConfig{}, func(r Result) {
+	err := runMaster(e, team, func(p *sim.Process) {
+		ft = farmFT(team, p, intJobs(nJobs), func(r Result) {
 			got[r.JobID] = r.Payload.(int)
 		})
 	})
@@ -177,13 +169,12 @@ func TestFARMFTRetriesCorruptResult(t *testing.T) {
 func TestFARMFTResendsCorruptJob(t *testing.T) {
 	const cost, nJobs = 50000, 12
 	js := jobSeconds(cost)
-	e, team := setupFT(3, doubler(cost))
+	e, team := setupFT(3, doubler(cost), FTConfig{JobDeadlineSeconds: 2 * js})
 	team.Comm.SetInterposer(&corruptOnceWire{src: 0, dst: 2})
 	got := map[int]int{}
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
-		cfg := FTConfig{JobDeadlineSeconds: 2 * js}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(r Result) {
+	err := runMaster(e, team, func(p *sim.Process) {
+		ft = farmFT(team, p, intJobs(nJobs), func(r Result) {
 			got[r.JobID] = r.Payload.(int)
 		})
 	})
@@ -203,7 +194,7 @@ func TestFARMFTResendsCorruptJob(t *testing.T) {
 func TestFARMFTBlacklistsRepeatOffender(t *testing.T) {
 	const cost, nJobs = 200000, 20
 	js := jobSeconds(cost)
-	e, team := setupFT(4, doubler(cost))
+	e, team := setupFT(4, doubler(cost), FTConfig{JobDeadlineSeconds: 2 * js, MaxFailures: 1})
 	chip := team.Comm.Chip()
 	wire := &deadCoreWire{dead: map[int]bool{}}
 	team.Comm.SetInterposer(wire)
@@ -211,9 +202,8 @@ func TestFARMFTBlacklistsRepeatOffender(t *testing.T) {
 
 	var ft FTStats
 	got := map[int]bool{}
-	err := runMasterFT(e, team, func(p *sim.Process) {
-		cfg := FTConfig{JobDeadlineSeconds: 2 * js, MaxFailures: 1}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(r Result) { got[r.JobID] = true })
+	err := runMaster(e, team, func(p *sim.Process) {
+		ft = farmFT(team, p, intJobs(nJobs), func(r Result) { got[r.JobID] = true })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +219,7 @@ func TestFARMFTBlacklistsRepeatOffender(t *testing.T) {
 func TestFARMFTDegradedWhenAllSlavesDie(t *testing.T) {
 	const cost, nJobs = 200000, 20
 	js := jobSeconds(cost)
-	e, team := setupFT(3, doubler(cost))
+	e, team := setupFT(3, doubler(cost), FTConfig{JobDeadlineSeconds: 2 * js})
 	chip := team.Comm.Chip()
 	wire := &deadCoreWire{dead: map[int]bool{}}
 	team.Comm.SetInterposer(wire)
@@ -238,9 +228,8 @@ func TestFARMFTDegradedWhenAllSlavesDie(t *testing.T) {
 	}
 	collected := 0
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
-		cfg := FTConfig{JobDeadlineSeconds: 2 * js}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(Result) { collected++ })
+	err := runMaster(e, team, func(p *sim.Process) {
+		ft = farmFT(team, p, intJobs(nJobs), func(Result) { collected++ })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,14 +258,13 @@ func TestFARMFTDropsDuplicateFromStalledSlave(t *testing.T) {
 		}
 		return 2 * job.Payload.(int), costmodel.Counter{DPCells: c}, 8
 	}
-	e, team := setupFT(4, vary)
+	e, team := setupFT(4, vary, FTConfig{JobDeadlineSeconds: 2 * js})
 	chip := team.Comm.Chip()
 	e.Schedule(0.5*js, func() { e.StallUntil(chip.Proc(1), 2.5*js) })
 	got := map[int]int{}
 	var ft FTStats
-	err := runMasterFT(e, team, func(p *sim.Process) {
-		cfg := FTConfig{JobDeadlineSeconds: 2 * js}
-		_, ft = team.FARMFT(p, intJobs(nJobs), cfg, func(r Result) {
+	err := runMaster(e, team, func(p *sim.Process) {
+		ft = farmFT(team, p, intJobs(nJobs), func(r Result) {
 			if _, dup := got[r.JobID]; dup {
 				t.Errorf("job %d collected twice", r.JobID)
 			}

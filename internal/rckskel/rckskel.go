@@ -4,6 +4,13 @@
 // process distributes application-defined jobs and gathers results by
 // round-robin polling of the slaves, exactly as described in Section IV.
 //
+// FARM is one pull-based loop, Team.Farm (farm.go), over a Source of job
+// queues and a slave-to-queue mapping: one shared queue is the paper's
+// FARM, one queue per worker is cache-affinity farming, one queue per
+// method is MC-PSC. A team with FT set runs the same loop with per-job
+// deadlines on (fault tolerance, single queue only). Every construct
+// shares one slave loop (StartSlaves) and one shutdown (Terminate).
+//
 // A "job" is one application work unit (here: a pairwise protein
 // structure comparison); a "task" is a collection of jobs plus the cores
 // allowed to execute them.
@@ -21,6 +28,7 @@ package rckskel
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rckalign/internal/costmodel"
 	"rckalign/internal/metrics"
@@ -82,7 +90,15 @@ type Handler func(job Job) (payload any, ops costmodel.Counter, resultBytes int)
 // terminate is the shutdown sentinel the master sends to each slave.
 type terminate struct{}
 
+// slaveMetrics are one slave's per-core aggregates (nil counters, and so
+// no-ops, unless SetMetrics installed a registry).
+type slaveMetrics struct {
+	jobs, compute, wait *metrics.Counter
+}
+
 // Team manages a master core and a set of slave cores on one chip.
+// Per-slave state lives in slices indexed by the slave's position in
+// Slaves.
 type Team struct {
 	Comm   *rcce.Comm
 	Master int
@@ -99,24 +115,31 @@ type Team struct {
 	// and Gantt reports.
 	Trace *trace.Recorder
 
-	// doorbell carries "result ready" flags from slaves to the master.
-	doorbell *sim.Chan
+	// FT, when non-nil, makes every farm of the team fault-tolerant:
+	// per-job deadlines, retry, blacklisting and a stop broadcast that
+	// Terminate uses to reach slaves cut off by a faulty wire. nil is the
+	// paper's FARM. Set it before StartSlaves — a slave decides when it
+	// spawns whether to listen for the stop broadcast; the deadline
+	// values are read when each farm starts.
+	FT *FTConfig
 
-	// stop broadcasts shutdown to fault-tolerant slave loops (ft.go).
-	stop *sim.Latch
-	// ring is the fault-tolerant doorbell: an async queue, so a slave's
-	// ready flag survives even when the master is busy or the slave dies
-	// right after raising it.
+	// pollSweep is the summed flag-poll cost over the slave ring and
+	// poll[i] the cost of polling slave i (see discoveryCost).
+	pollSweep float64
+	poll      []float64
+
+	// ring carries "result ready" flags (slave positions) from slaves to
+	// the master: an async queue, so a slave's flag survives even when
+	// the master is busy or the slave dies right after raising it.
 	ring *sim.Queue
-	// ftResultTimeout is the resolved result-transfer timeout of the
-	// last FARMFT, reused by TerminateFT's drain.
-	ftResultTimeout float64
+	// stop broadcasts shutdown to fault-tolerant slave loops.
+	stop *sim.Latch
 
-	// ringAt[slave] is the simulated time the slave last raised its
-	// ready flag; the master reads it when collecting to attribute how
-	// long the result sat in the "mailbox" (at most one outstanding ring
-	// per slave, by construction of the slave loops).
-	ringAt map[int]float64
+	// ringAt[i] is the simulated time slave i last raised its ready
+	// flag; the master reads it when collecting to attribute how long
+	// the result sat in the "mailbox" (at most one outstanding ring per
+	// slave, by construction of the slave loop).
+	ringAt []float64
 
 	// Observability handles, nil unless SetMetrics installed a registry.
 	reg            *metrics.Registry
@@ -129,9 +152,7 @@ type Team struct {
 	cMasterCollect *metrics.Counter
 	sMailbox       *metrics.Series
 	gMailboxPeak   *metrics.Gauge
-	slaveJobs      map[int]*metrics.Counter
-	slaveCompute   map[int]*metrics.Counter
-	slaveWait      map[int]*metrics.Counter
+	slaveStats     []slaveMetrics
 	mailboxDepth   int
 }
 
@@ -160,18 +181,17 @@ func (t *Team) SetMetrics(reg *metrics.Registry, labels ...string) {
 	t.cMasterCollect = reg.Counter("farm.master.collect_seconds", labels...)
 	t.sMailbox = reg.Series("farm.master.mailbox_depth", labels...)
 	t.gMailboxPeak = reg.Gauge("farm.master.mailbox_peak", labels...)
-	if reg == nil {
-		t.slaveJobs, t.slaveCompute, t.slaveWait = nil, nil, nil
-		return
-	}
-	t.slaveJobs = make(map[int]*metrics.Counter, len(t.Slaves))
-	t.slaveCompute = make(map[int]*metrics.Counter, len(t.Slaves))
-	t.slaveWait = make(map[int]*metrics.Counter, len(t.Slaves))
-	for _, s := range t.Slaves {
+	for i, s := range t.Slaves {
+		if reg == nil {
+			t.slaveStats[i] = slaveMetrics{}
+			continue
+		}
 		name := t.Comm.Chip().CoreName(s)
-		t.slaveJobs[s] = reg.Counter("farm.slave.jobs", "slave", name)
-		t.slaveCompute[s] = reg.Counter("farm.slave.compute_seconds", "slave", name)
-		t.slaveWait[s] = reg.Counter("farm.slave.dispatch_wait_seconds", "slave", name)
+		t.slaveStats[i] = slaveMetrics{
+			jobs:    reg.Counter("farm.slave.jobs", "slave", name),
+			compute: reg.Counter("farm.slave.compute_seconds", "slave", name),
+			wait:    reg.Counter("farm.slave.dispatch_wait_seconds", "slave", name),
+		}
 	}
 }
 
@@ -183,9 +203,9 @@ func (t *Team) PeakMailboxDepth() float64 { return t.gMailboxPeak.Value() }
 // metrics are disabled).
 func (t *Team) MailboxSeries() *metrics.Series { return t.sMailbox }
 
-// ringUp records that slave's result went ready at time now.
-func (t *Team) ringUp(slave int, now float64) {
-	t.ringAt[slave] = now
+// ringUp records that slave i's result went ready at time now.
+func (t *Team) ringUp(i int, now float64) {
+	t.ringAt[i] = now
 	if t.reg == nil {
 		return
 	}
@@ -194,10 +214,10 @@ func (t *Team) ringUp(slave int, now float64) {
 	t.gMailboxPeak.Max(float64(t.mailboxDepth))
 }
 
-// ringDown records that the master noticed the slave's flag at time now
+// ringDown records that the master noticed slave i's flag at time now
 // and returns how long the result sat waiting.
-func (t *Team) ringDown(slave int, now float64) float64 {
-	wait := now - t.ringAt[slave]
+func (t *Team) ringDown(i int, now float64) float64 {
+	wait := now - t.ringAt[i]
 	if t.reg != nil {
 		t.mailboxDepth--
 		t.sMailbox.Append(now, float64(t.mailboxDepth))
@@ -208,21 +228,25 @@ func (t *Team) ringDown(slave int, now float64) float64 {
 // NewTeam builds a team with the master on masterCore and the given
 // slaves. Slave cores must be distinct from the master.
 func NewTeam(comm *rcce.Comm, masterCore int, slaves []int) *Team {
-	for _, s := range slaves {
-		if s == masterCore {
-			panic(fmt.Sprintf("rckskel: core %d cannot be both master and slave", s))
-		}
-	}
-	return &Team{
+	t := &Team{
 		Comm:               comm,
 		Master:             masterCore,
 		Slaves:             append([]int(nil), slaves...),
 		DiscoveryCostScale: 1,
-		doorbell:           sim.NewChan("rckskel.ready"),
-		stop:               sim.NewLatch("rckskel.stop"),
+		poll:               make([]float64, len(slaves)),
 		ring:               sim.NewQueue("rckskel.ring"),
-		ringAt:             map[int]float64{},
+		stop:               sim.NewLatch("rckskel.stop"),
+		ringAt:             make([]float64, len(slaves)),
+		slaveStats:         make([]slaveMetrics, len(slaves)),
 	}
+	for i, s := range slaves {
+		if s == masterCore {
+			panic(fmt.Sprintf("rckskel: core %d cannot be both master and slave", s))
+		}
+		t.poll[i] = comm.PollCost(masterCore, s)
+		t.pollSweep += t.poll[i]
+	}
+	return t
 }
 
 // StartSlaves spawns the slave loop on every slave core: block for a job
@@ -236,23 +260,48 @@ func (t *Team) StartSlaves(h Handler) {
 // supporting the paper's MC-PSC extension where different slaves run
 // different comparison algorithms on the same data.
 func (t *Team) StartSlavesWith(h func(core int) Handler) {
-	for _, core := range t.Slaves {
-		core := core
+	for i, core := range t.Slaves {
+		i, core := i, core
 		t.Comm.Chip().SpawnCore(core, func(p *sim.Process) {
-			t.slaveLoop(p, core, h(core))
+			t.slaveLoop(p, i, h(core))
 		})
 	}
 }
 
-func (t *Team) slaveLoop(p *sim.Process, core int, h Handler) {
+// slaveLoop is the one slave loop behind every construct. On a
+// fault-tolerant team its job receive also aborts on the stop latch,
+// corrupted job requests are discarded (the master's deadline re-sends
+// them), and results are not sent once the stop latch is up (the master
+// no longer collects). Shutdown always ends with the terminate
+// sentinel.
+func (t *Team) slaveLoop(p *sim.Process, i int, h Handler) {
+	core := t.Slaves[i]
+	var stop *sim.Latch
+	if t.FT != nil {
+		stop = t.stop
+	}
 	for {
-		m, tm := t.Comm.RecvTimed(p, t.Master, core)
+		m, tm, ok := t.Comm.RecvWithin(p, t.Master, core, math.Inf(1), stop)
+		if !ok {
+			// Stop raised while idle: the terminating master sends the
+			// shutdown sentinel next. Bound the wait — a faulty link may
+			// drop the sentinel, and that must not park this core forever.
+			if m, tm, ok = t.Comm.RecvWithin(p, t.Master, core, t.FT.resultTimeout(), nil); !ok {
+				return
+			}
+		}
 		if _, done := m.Payload.(terminate); done {
 			return
 		}
+		if m.Corrupt {
+			// Checksum mismatch on the job request: discard it. The
+			// master's deadline machinery will re-send.
+			continue
+		}
+		sm := &t.slaveStats[i]
 		t.hDispatchWait.Observe(tm.WaitSeconds)
 		t.hInputXfer.Observe(tm.XferSeconds)
-		t.slaveWait[core].Add(tm.WaitSeconds)
+		sm.wait.Add(tm.WaitSeconds)
 		job := m.Payload.(Job)
 		payload, ops, resultBytes := h(job)
 		computeStart := p.Now()
@@ -262,33 +311,58 @@ func (t *Team) slaveLoop(p *sim.Process, core int, h Handler) {
 			t.Trace.Add(t.Comm.Chip().CoreName(core), computeStart, computeEnd, "compute")
 		}
 		t.hCompute.Observe(computeEnd - computeStart)
-		t.slaveJobs[core].Inc()
-		t.slaveCompute[core].Add(computeEnd - computeStart)
+		sm.jobs.Inc()
+		sm.compute.Add(computeEnd - computeStart)
 		if resultBytes < 1 {
 			resultBytes = 1
 		}
+		if t.stop.IsSet() {
+			// The master stopped collecting while this job computed:
+			// discard the result and loop around for the sentinel.
+			continue
+		}
 		// Raise the ready flag (the master's poll will find it) and then
 		// post the result.
-		t.ringUp(core, p.Now())
-		t.doorbell.Send(p, core)
+		t.ringUp(i, p.Now())
+		t.ring.Put(i)
 		t.Comm.Send(p, core, t.Master, resultBytes, Result{
 			JobID: job.ID, Slave: core, Payload: payload, Bytes: resultBytes,
 		})
 	}
 }
 
-// Terminate sends the shutdown sentinel to every slave. Call from the
-// master process after all farms complete.
+// Terminate shuts down the slave loops: raise the stop latch, then per
+// slave drain any result send already in flight (so no straggler is
+// left blocked mid-handshake) and deliver the shutdown sentinel. Slaves
+// whose process has already finished — fail-stopped cores, or loops
+// that gave up waiting for a sentinel while the master was stuck
+// handshaking a straggler — get no sentinel: there is nobody left to
+// receive it, and without an interposer to drop it the send would block
+// the master forever. Only fault-tolerant slaves listen to the latch,
+// and on a fault-free run no slave ever exits early or is left sending,
+// so the handshake is one sentinel send per slave. Call from the master
+// after all farms complete.
 func (t *Team) Terminate(p *sim.Process) {
+	t.stop.Set()
+	timeout := t.FT.resultTimeout()
 	for _, core := range t.Slaves {
+		for t.Comm.Probe(core, t.Master) {
+			if _, _, ok := t.Comm.RecvWithin(p, core, t.Master, timeout, nil); !ok {
+				break
+			}
+		}
+		if sp := t.Comm.Chip().Proc(core); sp == nil || sp.Done() {
+			continue
+		}
 		t.Comm.Send(p, t.Master, core, 1, terminate{})
 	}
+	t.ring.Drain()
 }
 
 // sendJob dispatches one job request from the master to a slave,
 // resolving the wire size per slave when the job carries a SizeFor
-// hook. Every dispatch path (SEQ, PAR, FARM, FARMFT) funnels through
-// here so the size model and its validation are applied uniformly. A
+// hook. Every dispatch path (SEQ, PAR, Farm) funnels through here so
+// the size model and its validation are applied uniformly. A
 // non-positive resolved size is a modelling bug that would corrupt the
 // NoC transfer model; it fails loudly instead of being clamped.
 func (t *Team) sendJob(p *sim.Process, slave int, job Job) {
@@ -302,18 +376,14 @@ func (t *Team) sendJob(p *sim.Process, slave int, job Job) {
 	t.Comm.Send(p, t.Master, slave, bytes, job)
 }
 
-// discoveryCost is the simulated time the master spends finding a ready
-// slave by round-robin flag polling: on average half a sweep over the
+// discoveryCost is the simulated time the master spends finding ready
+// slave i by round-robin flag polling: on average half a sweep over the
 // slave ring, ending at the ready slave.
-func (t *Team) discoveryCost(slave int) float64 {
-	var sweep float64
-	for _, s := range t.Slaves {
-		sweep += t.Comm.PollCost(t.Master, s)
-	}
-	return sweep/2 + t.Comm.PollCost(t.Master, slave)
+func (t *Team) discoveryCost(i int) float64 {
+	return t.pollSweep/2 + t.poll[i]
 }
 
-// Stats reports what a FARM or COLLECT execution did.
+// Stats reports what a Farm or COLLECT execution did.
 type Stats struct {
 	// JobsPerSlave[core] counts jobs executed by that core.
 	JobsPerSlave map[int]int
@@ -325,20 +395,29 @@ type Stats struct {
 	MakespanSeconds float64
 }
 
-// collectOne blocks until some slave rings, charges the polling
-// discovery cost, and receives that slave's result.
-func (t *Team) collectOne(p *sim.Process, st *Stats) Result {
-	slave := t.doorbell.Recv(p).(int)
+// collectFrom charges the polling discovery cost of ready slave i and
+// receives its result within timeout, recording the collect-side
+// latency stages. ok=false means the transfer never completed.
+func (t *Team) collectFrom(p *sim.Process, i int, timeout float64, st *Stats) (rcce.Message, bool) {
 	collectStart := p.Now()
-	t.hCollectWait.Observe(t.ringDown(slave, collectStart))
-	p.Wait(t.DiscoveryCostScale * t.discoveryCost(slave))
+	t.hCollectWait.Observe(t.ringDown(i, collectStart))
+	p.Wait(t.DiscoveryCostScale * t.discoveryCost(i))
 	st.PollProbes += len(t.Slaves)/2 + 1
-	m, tm := t.Comm.RecvTimed(p, slave, t.Master)
+	m, tm, ok := t.Comm.RecvWithin(p, t.Slaves[i], t.Master, timeout, nil)
 	if t.Trace != nil {
 		t.Trace.Add(t.Comm.Chip().CoreName(t.Master), collectStart, p.Now(), "collect")
 	}
-	t.hResultXfer.Observe(tm.XferSeconds)
 	t.cMasterCollect.Add(p.Now() - collectStart)
+	if ok {
+		t.hResultXfer.Observe(tm.XferSeconds)
+	}
+	return m, ok
+}
+
+// collectOne blocks until some slave rings and collects its result.
+func (t *Team) collectOne(p *sim.Process, st *Stats) Result {
+	i := t.ring.Get(p).(int)
+	m, _ := t.collectFrom(p, i, math.Inf(1), st)
 	t.cJobsDone.Inc()
 	res := m.Payload.(Result)
 	st.JobsPerSlave[res.Slave]++
@@ -385,50 +464,6 @@ func (t *Team) COLLECT(p *sim.Process, expect int, collect func(Result)) Stats {
 		res := t.collectOne(p, &st)
 		if collect != nil {
 			collect(res)
-		}
-	}
-	st.MakespanSeconds = p.Now() - start
-	return st
-}
-
-// FARM is the paper's master-slaves construct: prime every slave with a
-// job, then poll; whenever a slave returns a result, hand it the next
-// job, until all jobs are done. Call from the master process; slaves
-// must already be running.
-func (t *Team) FARM(p *sim.Process, jobs []Job, collect func(Result)) Stats {
-	next := 0
-	return t.FARMDynamic(p, func(int) (Job, bool) {
-		if next >= len(jobs) {
-			return Job{}, false
-		}
-		j := jobs[next]
-		next++
-		return j, true
-	}, collect)
-}
-
-// FARMDynamic is FARM with a pull-based job source: next(slave) supplies
-// the next job for that slave (or reports exhaustion). This supports
-// partitioned farms where different slaves draw from different queues
-// (e.g. one queue per PSC method in MC-PSC).
-func (t *Team) FARMDynamic(p *sim.Process, next func(slave int) (Job, bool), collect func(Result)) Stats {
-	st := Stats{JobsPerSlave: map[int]int{}}
-	start := p.Now()
-	outstanding := 0
-	for _, slave := range t.Slaves {
-		if job, ok := next(slave); ok {
-			t.sendJob(p, slave, job)
-			outstanding++
-		}
-	}
-	for ; outstanding > 0; outstanding-- {
-		res := t.collectOne(p, &st)
-		if collect != nil {
-			collect(res)
-		}
-		if job, ok := next(res.Slave); ok {
-			t.sendJob(p, res.Slave, job)
-			outstanding++
 		}
 	}
 	st.MakespanSeconds = p.Now() - start

@@ -1,6 +1,7 @@
 package rckskel
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -40,6 +41,15 @@ func intJobs(n int) []Job {
 	return jobs
 }
 
+// farmAll runs jobs through one shared queue (the paper's FARM).
+func farmAll(t *Team, p *sim.Process, jobs []Job, collect func(Result)) Stats {
+	st, _, err := t.Farm(p, Shared(jobs), collect)
+	if err != nil {
+		panic(err)
+	}
+	return st
+}
+
 func runMaster(e *sim.Engine, t *Team, body func(p *sim.Process)) error {
 	t.Comm.Chip().SpawnCore(t.Master, func(p *sim.Process) {
 		body(p)
@@ -54,7 +64,7 @@ func TestFarmProcessesAllJobs(t *testing.T) {
 	got := map[int]int{}
 	var stats Stats
 	err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, jobs, func(r Result) {
+		stats = farmAll(team, p, jobs, func(r Result) {
 			got[r.JobID] = r.Payload.(int)
 		})
 	})
@@ -86,7 +96,7 @@ func TestFarmBalancesUniformJobs(t *testing.T) {
 	jobs := intJobs(40)
 	var stats Stats
 	err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, jobs, nil)
+		stats = farmAll(team, p, jobs, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +121,7 @@ func TestFarmSpeedupNearLinear(t *testing.T) {
 		e, team := setup(slaves, doubler(50_000_000)) // ~3 s/job on P54C
 		var stats Stats
 		if err := runMaster(e, team, func(p *sim.Process) {
-			stats = team.FARM(p, intJobs(60), nil)
+			stats = farmAll(team, p, intJobs(60), nil)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +139,7 @@ func TestFarmFewerJobsThanSlaves(t *testing.T) {
 	e, team := setup(10, doubler(100))
 	collected := 0
 	err := runMaster(e, team, func(p *sim.Process) {
-		team.FARM(p, intJobs(3), func(Result) { collected++ })
+		farmAll(team, p, intJobs(3), func(Result) { collected++ })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +152,7 @@ func TestFarmFewerJobsThanSlaves(t *testing.T) {
 func TestFarmNoJobs(t *testing.T) {
 	e, team := setup(3, doubler(100))
 	err := runMaster(e, team, func(p *sim.Process) {
-		st := team.FARM(p, nil, func(Result) { t.Error("unexpected result") })
+		st := farmAll(team, p, nil, func(Result) { t.Error("unexpected result") })
 		if st.PollProbes != 0 {
 			t.Errorf("poll probes = %d for empty farm", st.PollProbes)
 		}
@@ -224,7 +234,7 @@ func TestSlaveComputeTimeCharged(t *testing.T) {
 	wantMin := cpu.Seconds(costmodel.Counter{DPCells: 100_000_000})
 	var stats Stats
 	err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, intJobs(1), nil)
+		stats = farmAll(team, p, intJobs(1), nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +270,7 @@ func TestVariableJobsDynamicBalance(t *testing.T) {
 	}
 	var stats Stats
 	if err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, jobs, nil)
+		stats = farmAll(team, p, jobs, nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +303,7 @@ func TestFarmToleratesStragglerCore(t *testing.T) {
 	})
 	var stats Stats
 	if err := runMaster(e, team, func(p *sim.Process) {
-		stats = team.FARM(p, intJobs(40), nil)
+		stats = farmAll(team, p, intJobs(40), nil)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -307,5 +317,44 @@ func TestFarmToleratesStragglerCore(t *testing.T) {
 	if stats.JobsPerSlave[straggler] >= stats.JobsPerSlave[2] {
 		t.Errorf("straggler got %d jobs vs healthy %d; dynamic farm should shed load",
 			stats.JobsPerSlave[straggler], stats.JobsPerSlave[2])
+	}
+}
+
+// TestFarmPerSlaveQueues: with one queue per slave, every job runs on
+// the slave bound to its queue — a slave whose queue runs dry idles
+// instead of taking another queue's work.
+func TestFarmPerSlaveQueues(t *testing.T) {
+	e, team := setup(3, doubler(1000))
+	jobs := intJobs(9)
+	src := Source{
+		Queues:  [][]Job{jobs[:6], jobs[6:8], jobs[8:]},
+		QueueOf: func(slave int) int { return slave - 1 },
+	}
+	ranOn := map[int]int{}
+	var stats Stats
+	err := runMaster(e, team, func(p *sim.Process) {
+		var err error
+		stats, _, err = team.Farm(p, src, func(r Result) { ranOn[r.JobID] = r.Slave })
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range jobs {
+		want := 1
+		switch {
+		case id >= 8:
+			want = 3
+		case id >= 6:
+			want = 2
+		}
+		if ranOn[id] != want {
+			t.Errorf("job %d ran on slave %d, want %d", id, ranOn[id], want)
+		}
+	}
+	if want := map[int]int{1: 6, 2: 2, 3: 1}; !reflect.DeepEqual(stats.JobsPerSlave, want) {
+		t.Errorf("JobsPerSlave = %v, want %v", stats.JobsPerSlave, want)
 	}
 }

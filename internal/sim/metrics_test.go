@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"rckalign/internal/metrics"
@@ -55,5 +56,40 @@ func TestEngineMetrics(t *testing.T) {
 	}
 	if got := reg.Counter("sim.proc.blocks").Value(); got != float64(h.Count()) {
 		t.Errorf("blocks counter %v != histogram count %d", got, h.Count())
+	}
+}
+
+// TestInfiniteTimeoutsScheduleNoTimer: an unbounded wait through any
+// timeout-taking primitive (latch, rendezvous receive, queue get) is a
+// plain wait — it must not leave a dead engine callback behind.
+func TestInfiniteTimeoutsScheduleNoTimer(t *testing.T) {
+	reg := metrics.New()
+	e := NewEngine()
+	e.SetMetrics(reg)
+	inf := math.Inf(1)
+	l, ch, q := NewLatch("l"), NewChan("c"), NewQueue("q")
+	e.Spawn("waiter", func(p *Process) {
+		if !l.WaitTimeout(p, inf) {
+			t.Error("latch wait timed out")
+		}
+		if _, ok := ch.RecvTimeout(p, inf); !ok {
+			t.Error("chan receive timed out")
+		}
+		if _, ok := q.GetTimeout(p, inf); !ok {
+			t.Error("queue get timed out")
+		}
+	})
+	e.Spawn("waker", func(p *Process) {
+		p.Wait(1)
+		l.Set()
+		ch.Send(p, 1)
+		p.Wait(1)
+		q.Put(2)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("sim.events.callbacks").Value(); got != 0 {
+		t.Errorf("callbacks = %v, want 0", got)
 	}
 }

@@ -120,13 +120,16 @@ type Process struct {
 	// stallUntil defers any wake-up scheduled to fire before it (a
 	// transient core stall).
 	stallUntil float64
-	// blocked marks a process parked on a channel/resource (not in the
-	// event queue), for deadlock diagnostics.
-	blocked string
-	// blockDetail is optional caller-supplied context for the current
-	// blocking operation (e.g. an rcce transfer's src->dst and byte
-	// count), surfaced by DeadlockError.
-	blockDetail string
+	// blockedOp and blockedOn mark a process parked on a channel or
+	// resource (not in the event queue), for deadlock diagnostics: the
+	// primitive kind ("recv") and its name. They are joined only when a
+	// deadlock is reported, so blocking allocates no label.
+	blockedOp, blockedOn string
+	// detailFormat and detailArgs are optional caller-supplied context
+	// for the current blocking operation (e.g. an rcce transfer's
+	// src->dst and byte count), formatted only for DeadlockError.
+	detailFormat string
+	detailArgs   []any
 }
 
 // Name returns the process name.
@@ -147,7 +150,22 @@ func (p *Process) Done() bool { return p.done }
 // SetBlockDetail attaches human-readable context to the process's next
 // blocking operations; it appears in DeadlockError reports. Pass ""
 // to clear. Callers should clear it once the guarded operation returns.
-func (p *Process) SetBlockDetail(detail string) { p.blockDetail = detail }
+func (p *Process) SetBlockDetail(detail string) { p.detailFormat, p.detailArgs = detail, nil }
+
+// SetBlockDetailf is SetBlockDetail with the detail given as a format
+// and arguments, formatted only if a deadlock is reported — so hot
+// message-passing paths pay no formatting cost.
+func (p *Process) SetBlockDetailf(format string, args ...any) {
+	p.detailFormat, p.detailArgs = format, args
+}
+
+// blockDetail renders the current block detail ("" when none).
+func (p *Process) blockDetail() string {
+	if p.detailArgs == nil {
+		return p.detailFormat
+	}
+	return fmt.Sprintf(p.detailFormat, p.detailArgs...)
+}
 
 // dead reports that a process should no longer be matched by
 // synchronization primitives (it finished or a kill is in flight).
@@ -237,16 +255,25 @@ func (p *Process) Wait(d float64) {
 }
 
 // block parks the process with no scheduled wake-up; some other process
-// or event must call unblock. why is recorded for deadlock reports.
-// (A killed process unwinds out of yield, so the histogram only sees
-// blocks that actually resumed.)
-func (p *Process) block(why string) {
-	p.blocked = why
+// or event must call unblock. The primitive kind op and its name are
+// recorded for deadlock reports ("recv" on "rcce.req.0->3" reads
+// "recv:rcce.req.0->3"). (A killed process unwinds out of yield, so the
+// histogram only sees blocks that actually resumed.)
+func (p *Process) block(op, name string) {
+	p.blockedOp, p.blockedOn = op, name
 	p.e.mBlocks.Inc()
 	start := p.e.now
 	p.yield()
 	p.e.hBlock.Observe(p.e.now - start)
-	p.blocked = ""
+	p.blockedOp, p.blockedOn = "", ""
+}
+
+// blockReason renders the primitive p is parked on ("" when runnable).
+func (p *Process) blockReason() string {
+	if p.blockedOp == "" {
+		return ""
+	}
+	return p.blockedOp + ":" + p.blockedOn
 }
 
 // unblock schedules p to resume at the current time.
@@ -311,7 +338,7 @@ func (e *Engine) Run() error {
 	if len(e.live) > 0 {
 		var blocked []BlockedProcess
 		for p := range e.live {
-			blocked = append(blocked, BlockedProcess{Name: p.name, Reason: p.blocked, Detail: p.blockDetail})
+			blocked = append(blocked, BlockedProcess{Name: p.name, Reason: p.blockReason(), Detail: p.blockDetail()})
 		}
 		sort.Slice(blocked, func(i, j int) bool {
 			if blocked[i].Name != blocked[j].Name {

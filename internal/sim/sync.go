@@ -69,31 +69,32 @@ func (c *Chan) Send(p *Process, v any) {
 		return
 	}
 	c.senders = append(c.senders, &sendReq{p: p, v: v})
-	p.block("send:" + c.name)
+	p.block("send", c.name)
 }
 
 // Recv returns the next value, blocking p until a sender arrives.
 func (c *Chan) Recv(p *Process) any {
-	v, _ := c.recv(p, math.Inf(1), nil)
+	v, _ := c.RecvWithin(p, math.Inf(1), nil)
 	return v
 }
 
 // RecvTimeout is Recv with a deadline: it returns (value, true) on a
 // rendezvous within d seconds, else (nil, false) at the deadline.
 func (c *Chan) RecvTimeout(p *Process, d float64) (any, bool) {
-	return c.recv(p, d, nil)
+	return c.RecvWithin(p, d, nil)
 }
 
 // RecvOrLatch is Recv aborted by a latch: it returns (value, true) on a
 // rendezvous, or (nil, false) once l fires with no rendezvous yet (or
 // immediately, if l has already fired).
 func (c *Chan) RecvOrLatch(p *Process, l *Latch) (any, bool) {
-	return c.recv(p, math.Inf(1), l)
+	return c.RecvWithin(p, math.Inf(1), l)
 }
 
-// recv implements the receive variants: a plain receive (d = +Inf,
-// l = nil), a deadline, an abort latch, or both.
-func (c *Chan) recv(p *Process, d float64, l *Latch) (any, bool) {
+// RecvWithin implements every receive variant: a plain receive
+// (d = +Inf, l = nil), a deadline, an abort latch, or both. An infinite
+// d schedules no timer.
+func (c *Chan) RecvWithin(p *Process, d float64, l *Latch) (any, bool) {
 	if s := c.liveSender(); s != nil {
 		c.senders = c.senders[1:]
 		s.p.unblock()
@@ -118,7 +119,7 @@ func (c *Chan) recv(p *Process, d float64, l *Latch) (any, bool) {
 	if l != nil {
 		l.onSet = append(l.onSet, cancel)
 	}
-	p.block("recv:" + c.name)
+	p.block("recv", c.name)
 	if req.cancelled {
 		return nil, false
 	}
@@ -199,25 +200,27 @@ func (l *Latch) Wait(p *Process) {
 	}
 	w := &latchWaiter{p: p}
 	l.waiting = append(l.waiting, w)
-	p.block("latch:" + l.name)
+	p.block("latch", l.name)
 }
 
 // WaitTimeout blocks p until the latch fires (true) or d seconds pass
-// (false).
+// (false). An infinite d schedules no timer: it is Wait.
 func (l *Latch) WaitTimeout(p *Process, d float64) bool {
 	if l.set {
 		return true
 	}
 	w := &latchWaiter{p: p}
 	l.waiting = append(l.waiting, w)
-	p.e.After(d, func() {
-		if w.released || w.cancelled || p.dead() {
-			return
-		}
-		w.cancelled = true
-		p.unblock()
-	})
-	p.block("latch:" + l.name)
+	if !math.IsInf(d, 1) {
+		p.e.After(d, func() {
+			if w.released || w.cancelled || p.dead() {
+				return
+			}
+			w.cancelled = true
+			p.unblock()
+		})
+	}
+	p.block("latch", l.name)
 	return !w.cancelled
 }
 
@@ -277,7 +280,7 @@ func (q *Queue) GetTimeout(p *Process, d float64) (any, bool) {
 			p.unblock()
 		})
 	}
-	p.block("queue:" + q.name)
+	p.block("queue", q.name)
 	if req.cancelled {
 		return nil, false
 	}
@@ -320,7 +323,7 @@ func (b *Barrier) Wait(p *Process) {
 		return
 	}
 	b.waiting = append(b.waiting, p)
-	p.block("barrier:" + b.name)
+	p.block("barrier", b.name)
 }
 
 // Waiting returns the number of processes currently parked at the
@@ -356,7 +359,7 @@ func (r *Resource) Acquire(p *Process) {
 		return
 	}
 	r.queue = append(r.queue, p)
-	p.block("acquire:" + r.name)
+	p.block("acquire", r.name)
 	// Woken by Release, which already transferred the slot to us.
 	r.busyStart[p] = p.Now()
 }
