@@ -1,12 +1,20 @@
+//go:build go1.23
+
 // Package sim is a deterministic discrete-event simulation engine with
 // SimPy-style coroutine processes. It provides the virtual clock under
 // the SCC chip model: simulated cores are processes that Wait() for the
 // durations charged by the cost model and exchange messages through
 // rendezvous channels whose transfer latencies model the on-chip mesh.
 //
-// Exactly one goroutine (the engine's or one process's) runs at any
-// moment, and events at equal times fire in schedule order, so runs are
-// fully deterministic.
+// Each process body runs as an iter.Pull coroutine: the engine resumes
+// it with next and it hands control back by yielding, a direct switch
+// with no channel handoff or scheduler round trip. Exactly one of the
+// engine and its processes runs at any moment, and pending events sit
+// in a binary heap ordered by (time, schedule sequence), so events at
+// equal times fire in schedule order and runs are fully deterministic.
+//
+// The file needs go1.23 for the iter package; go.mod's go line stays at
+// 1.22 so modules that require this one keep building unchanged.
 //
 // Fault-injection support: a process can be fail-stopped (Engine.Kill)
 // or transiently stalled (Engine.StallUntil) from a scheduled callback.
@@ -16,8 +24,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strings"
@@ -33,27 +41,70 @@ type event struct {
 	fn  func()
 }
 
+// before reports whether a fires before b. (t, seq) is a total order:
+// seq is unique per event, so equal-time events fire in schedule order.
+func (a *event) before(b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+// eventHeap is a binary min-heap of events on (t, seq), typed so that
+// push and pop move events by value with no interface boxing.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+// push adds ev, sifting it up from the new last slot.
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	s[i] = ev
+	*h = s
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+// pop removes and returns the earliest event; the heap must be
+// non-empty. The last event is sifted down from the root, and the
+// vacated slot is cleared so the heap holds no stale references.
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s[n] = event{}
+	s = s[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && s[r].before(&s[c]) {
+				c = r
+			}
+			if !s[c].before(&last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = last
+	}
+	*h = s
+	return top
+}
 
 // Engine owns the virtual clock and the event queue.
 type Engine struct {
 	now    float64
 	events eventHeap
 	seq    int64
-	park   chan struct{}
 	live   map[*Process]bool
-	runner *Process // process currently executing (nil = engine)
 
 	// Instrument handles, nil unless SetMetrics installed a registry;
 	// every record call is a nil-safe no-op when disabled.
@@ -80,7 +131,7 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 
 // NewEngine returns an empty engine at time 0.
 func NewEngine() *Engine {
-	return &Engine{park: make(chan struct{}), live: map[*Process]bool{}}
+	return &Engine{live: map[*Process]bool{}}
 }
 
 // Now returns the current simulated time in seconds.
@@ -92,7 +143,7 @@ func (e *Engine) Schedule(t float64, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, event{t: t, seq: e.seq, fn: fn})
+	e.events.push(event{t: t, seq: e.seq, fn: fn})
 }
 
 // After runs fn after delay d.
@@ -100,22 +151,27 @@ func (e *Engine) After(d float64, fn func()) { e.Schedule(e.now+d, fn) }
 
 func (e *Engine) scheduleProc(t float64, p *Process) {
 	e.seq++
-	heap.Push(&e.events, event{t: t, seq: e.seq, p: p})
+	e.events.push(event{t: t, seq: e.seq, p: p})
 }
 
 // killSentinel is the panic value that unwinds a killed process's
-// goroutine; the Spawn wrapper recovers it.
+// coroutine; the Spawn wrapper recovers it.
 type killSentinel struct{}
 
 // Process is a simulated thread of control. Its methods must only be
 // called from within its own body function.
 type Process struct {
-	e      *Engine
-	name   string
-	resume chan struct{}
-	done   bool
+	e    *Engine
+	name string
+	// next resumes the body's coroutine until it yields (true) or
+	// finishes (false); stop unwinds a suspended body. yieldFn is the
+	// coroutine's yield, through which the body hands control back.
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldFn func(struct{}) bool
+	done    bool
 	// killed marks a fail-stopped process; its next wake-up unwinds the
-	// goroutine instead of resuming the body.
+	// coroutine instead of resuming the body.
 	killed bool
 	// stallUntil defers any wake-up scheduled to fire before it (a
 	// transient core stall).
@@ -174,25 +230,19 @@ func (p *Process) dead() bool { return p.done || p.killed }
 // Spawn creates a process that starts executing body at the current
 // simulated time (once Run is in control).
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{e: e, name: name, resume: make(chan struct{})}
+	p := &Process{e: e, name: name}
 	e.live[p] = true
-	go func() {
-		<-p.resume
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(killSentinel); !ok {
-						panic(r)
-					}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yieldFn = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(killSentinel); !ok {
+					panic(r)
 				}
-			}()
-			body(p)
+			}
 		}()
-		p.done = true
-		delete(e.live, p)
-		e.runner = nil
-		e.park <- struct{}{}
-	}()
+		body(p)
+	})
 	e.scheduleProc(e.now, p)
 	e.mSpawns.Inc()
 	return p
@@ -209,7 +259,7 @@ func (e *Engine) Kill(p *Process) {
 	}
 	p.killed = true
 	e.mKills.Inc()
-	// Wake it (possibly redundantly) so the goroutine unwinds promptly.
+	// Wake it (possibly redundantly) so the coroutine unwinds promptly.
 	e.scheduleProc(e.now, p)
 }
 
@@ -227,21 +277,25 @@ func (e *Engine) StallUntil(p *Process, t float64) {
 
 // yield transfers control back to the engine and parks until resumed.
 // Wake-ups inside a stall window are re-deferred to the stall end; a
-// pending kill unwinds the goroutine via the sentinel panic.
+// pending kill unwinds the coroutine via the sentinel panic.
 func (p *Process) yield() {
-	p.e.runner = nil
-	p.e.park <- struct{}{}
-	<-p.resume
+	p.park()
 	for !p.killed && p.stallUntil > p.e.now {
 		p.e.scheduleProc(p.stallUntil, p)
-		p.e.runner = nil
-		p.e.park <- struct{}{}
-		<-p.resume
+		p.park()
 	}
 	if p.killed {
 		panic(killSentinel{})
 	}
-	p.e.runner = p
+}
+
+// park suspends the coroutine until the engine resumes it. A false
+// yield means the engine stopped the coroutine (a deadlocked process
+// being released), which unwinds like a kill.
+func (p *Process) park() {
+	if !p.yieldFn(struct{}{}) {
+		p.killed = true
+	}
 }
 
 // Wait advances the process's local time by d seconds of simulated time.
@@ -317,60 +371,73 @@ func (e *DeadlockError) Error() string {
 }
 
 // Run executes events until the queue drains. It returns a DeadlockError
-// if live processes remain blocked with no pending events, else nil.
+// if live processes remain blocked with no pending events, else nil; the
+// blocked processes are then unwound (marked killed and done), so a
+// deadlocked run leaves nothing suspended behind it.
+//
+// A panic in a process body (other than the internal kill unwind)
+// propagates out of Run on the caller's goroutine, where it can be
+// recovered; the engine must not be used after that.
 func (e *Engine) Run() error {
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(event)
-		e.now = ev.t
-		if ev.p != nil {
-			if ev.p.done {
-				continue
-			}
-			e.mWakes.Inc()
-			e.runner = ev.p
-			ev.p.resume <- struct{}{}
-			<-e.park
-		} else if ev.fn != nil {
-			e.mCallbacks.Inc()
-			ev.fn()
-		}
+	for len(e.events) > 0 {
+		e.step()
 	}
-	if len(e.live) > 0 {
-		var blocked []BlockedProcess
-		for p := range e.live {
-			blocked = append(blocked, BlockedProcess{Name: p.name, Reason: p.blockReason(), Detail: p.blockDetail()})
-		}
-		sort.Slice(blocked, func(i, j int) bool {
-			if blocked[i].Name != blocked[j].Name {
-				return blocked[i].Name < blocked[j].Name
-			}
-			return blocked[i].Reason < blocked[j].Reason
-		})
-		return &DeadlockError{Time: e.now, Blocked: blocked}
+	if len(e.live) == 0 {
+		return nil
 	}
-	return nil
+	stuck := make([]*Process, 0, len(e.live))
+	for p := range e.live {
+		stuck = append(stuck, p)
+	}
+	sort.Slice(stuck, func(i, j int) bool {
+		if stuck[i].name != stuck[j].name {
+			return stuck[i].name < stuck[j].name
+		}
+		return stuck[i].blockReason() < stuck[j].blockReason()
+	})
+	blocked := make([]BlockedProcess, len(stuck))
+	for i, p := range stuck {
+		blocked[i] = BlockedProcess{Name: p.name, Reason: p.blockReason(), Detail: p.blockDetail()}
+		p.killed = true
+		p.stop()
+		p.done = true
+		delete(e.live, p)
+	}
+	return &DeadlockError{Time: e.now, Blocked: blocked}
 }
 
 // RunUntil executes events with timestamps <= t, then stops (remaining
 // events stay queued). It does not report deadlock.
 func (e *Engine) RunUntil(t float64) {
-	for e.events.Len() > 0 && e.events[0].t <= t {
-		ev := heap.Pop(&e.events).(event)
-		e.now = ev.t
-		if ev.p != nil {
-			if ev.p.done {
-				continue
-			}
-			e.mWakes.Inc()
-			e.runner = ev.p
-			ev.p.resume <- struct{}{}
-			<-e.park
-		} else if ev.fn != nil {
-			e.mCallbacks.Inc()
-			ev.fn()
-		}
+	for len(e.events) > 0 && e.events[0].t <= t {
+		e.step()
 	}
 	if t > e.now {
 		e.now = t
+	}
+}
+
+// step pops the earliest event, advances the clock to it and fires it:
+// a callback runs inline, a process wake-up resumes the process.
+func (e *Engine) step() {
+	ev := e.events.pop()
+	e.now = ev.t
+	if ev.p != nil {
+		if !ev.p.done {
+			e.resume(ev.p)
+		}
+	} else if ev.fn != nil {
+		e.mCallbacks.Inc()
+		ev.fn()
+	}
+}
+
+// resume runs p until it next yields; when its body has returned (or
+// unwound from a kill), p is done and leaves the live set.
+func (e *Engine) resume(p *Process) {
+	e.mWakes.Inc()
+	if _, ok := p.next(); !ok {
+		p.done = true
+		delete(e.live, p)
 	}
 }
