@@ -89,6 +89,22 @@ func (c *Counter) Add(o Counter) {
 	c.ResiduesLoaded += o.ResiduesLoaded
 }
 
+// Sub returns the field-wise difference c - o: the operations recorded
+// between a snapshot o and a later state c of the same counter. Adding
+// the difference back to o restores c, which is how a memoised kernel
+// step replays the exact charge of the work it skips.
+func (c Counter) Sub(o Counter) Counter {
+	return Counter{
+		DPCells:        c.DPCells - o.DPCells,
+		KabschCalls:    c.KabschCalls - o.KabschCalls,
+		KabschPoints:   c.KabschPoints - o.KabschPoints,
+		ScoreEvals:     c.ScoreEvals - o.ScoreEvals,
+		RotationOps:    c.RotationOps - o.RotationOps,
+		SSAssign:       c.SSAssign - o.SSAssign,
+		ResiduesLoaded: c.ResiduesLoaded - o.ResiduesLoaded,
+	}
+}
+
 // String summarises the counter.
 func (c Counter) String() string {
 	return fmt.Sprintf("dp=%d kabsch=%d/%dpts score=%d rot=%d ss=%d load=%d",

@@ -47,6 +47,24 @@ func TestCounterAdd(t *testing.T) {
 	}
 }
 
+func TestCounterSubRoundTrips(t *testing.T) {
+	before := Counter{DPCells: 10, KabschCalls: 20, KabschPoints: 30, ScoreEvals: 40, RotationOps: 50, SSAssign: 60, ResiduesLoaded: 70}
+	after := Counter{DPCells: 11, KabschCalls: 22, KabschPoints: 33, ScoreEvals: 44, RotationOps: 55, SSAssign: 66, ResiduesLoaded: 77}
+	d := after.Sub(before)
+	want := Counter{DPCells: 1, KabschCalls: 2, KabschPoints: 3, ScoreEvals: 4, RotationOps: 5, SSAssign: 6, ResiduesLoaded: 7}
+	if d != want {
+		t.Fatalf("Sub = %+v, want %+v", d, want)
+	}
+	got := before
+	got.Add(d)
+	if got != after {
+		t.Errorf("Add(Sub) = %+v, want %+v", got, after)
+	}
+	if z := after.Sub(after); z != (Counter{}) {
+		t.Errorf("c.Sub(c) = %+v, want zero", z)
+	}
+}
+
 func TestCyclesLinear(t *testing.T) {
 	cpu := P54C()
 	c1 := Counter{DPCells: 1000}

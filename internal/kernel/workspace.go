@@ -7,7 +7,7 @@
 // single pairwise comparison; a Workspace owns every buffer once and is
 // reused across comparisons by the worker that holds it. Workspaces are
 // not safe for concurrent use: each host worker goroutine checks one out
-// of the package pool (Get/Put) or owns one outright.
+// of the package's idle list (Get/Put) or owns one outright.
 //
 // Buffer groups are segregated by kernel layer so a caller that is
 // mid-flight in one layer can invoke the next without aliasing its own
@@ -16,6 +16,7 @@
 package kernel
 
 import (
+	"runtime"
 	"sync"
 
 	"rckalign/internal/geom"
@@ -58,8 +59,17 @@ type Workspace struct {
 	SearchIAli, SearchKAli       []int
 	SearchDis2                   []float64
 
-	// nw is the worker's DP aligner (its own val/path/Gotoh tables),
-	// created on first use via Aligner.
+	// SearchMemo records the converged extension trajectories of one
+	// TM-score search (reset per search); PairMemo records the alignment
+	// scores and DP steps of one comparison (reset per comparison).
+	// SearchKey (a bitset over the aligned pairs, sized by
+	// ReserveSearch) and PairKey are their key-building scratch.
+	SearchMemo         Memo[Trajectory]
+	PairMemo           Memo[Replay]
+	SearchKey, PairKey []int
+
+	// nw is the worker's DP aligner (its own DP rows, move matrix and
+	// Gotoh tables), created on first use via Aligner.
 	nw *seqalign.Aligner
 }
 
@@ -126,15 +136,42 @@ func (w *Workspace) ReserveSearch(n int) {
 	w.SearchIAli = grow(w.SearchIAli, n)
 	w.SearchKAli = grow(w.SearchKAli, n)
 	w.SearchDis2 = grow(w.SearchDis2, n)
+	w.SearchKey = grow(w.SearchKey, (n+63)/64)
 }
 
-var pool = sync.Pool{New: func() any { return new(Workspace) }}
+// idle holds workspaces between comparisons. Unlike a sync.Pool it is
+// not emptied by garbage collection: a workspace grown to the problem
+// size (score matrix, DP moves, memo tables) would otherwise be dropped
+// every other GC cycle and rebuilt from scratch, so its memory would be
+// allocated again and again and several generations of workspaces
+// would be live at once. At most GOMAXPROCS idle workspaces are kept;
+// extra ones are left to the garbage collector.
+var idle struct {
+	sync.Mutex
+	ws []*Workspace
+}
 
-// Get checks a Workspace out of the package pool. Pair it with Put once
-// the comparison completes; a workspace that is never Put is simply
-// garbage collected.
-func Get() *Workspace { return pool.Get().(*Workspace) }
+// Get checks a Workspace out of the package's idle list, or makes a new
+// one. Pair it with Put once the comparison completes; a workspace that
+// is never Put is simply garbage collected.
+func Get() *Workspace {
+	idle.Lock()
+	defer idle.Unlock()
+	if n := len(idle.ws); n > 0 {
+		w := idle.ws[n-1]
+		idle.ws[n-1] = nil
+		idle.ws = idle.ws[:n-1]
+		return w
+	}
+	return new(Workspace)
+}
 
-// Put returns a workspace to the pool. The caller must not retain any
-// slice of it afterwards.
-func Put(w *Workspace) { pool.Put(w) }
+// Put returns a workspace to the idle list. The caller must not retain
+// any slice of it afterwards.
+func Put(w *Workspace) {
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.ws) < runtime.GOMAXPROCS(0) {
+		idle.ws = append(idle.ws, w)
+	}
+}

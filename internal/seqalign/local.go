@@ -24,7 +24,6 @@ func (a *Aligner) AlignLocal(len1, len2 int, score Scorer, gap float64, ops *cos
 	cols := len2 + 1
 	n := (len1 + 1) * cols
 	a.val = growSlice(a.val, n)
-	a.path = growSlice(a.path, n)
 	val := a.val
 	for j := 0; j <= len2; j++ {
 		val[j] = 0
@@ -32,9 +31,9 @@ func (a *Aligner) AlignLocal(len1, len2 int, score Scorer, gap float64, ops *cos
 	for i := 0; i <= len1; i++ {
 		val[i*cols] = 0
 	}
-	// dir: 0 stop, 1 diag, 2 up (gap in 2), 3 left (gap in 1). Reused
-	// across calls without clearing: the fill writes every interior cell
-	// and the traceback never reads border cells.
+	// dir: 0 stop, else the move into the cell. Reused across calls
+	// without clearing: the fill writes every interior cell and the
+	// traceback never reads border cells.
 	a.dir = growSlice(a.dir, n)
 	dir := a.dir
 
@@ -49,13 +48,13 @@ func (a *Aligner) AlignLocal(len1, len2 int, score Scorer, gap float64, ops *cos
 			l := val[row+j-1] + gap
 			v, dd := 0.0, int8(0)
 			if d > v {
-				v, dd = d, 1
+				v, dd = d, moveDiag
 			}
 			if u > v {
-				v, dd = u, 2
+				v, dd = u, moveUp
 			}
 			if l > v {
-				v, dd = l, 3
+				v, dd = l, moveLeft
 			}
 			val[row+j] = v
 			dir[row+j] = dd
@@ -74,11 +73,11 @@ func (a *Aligner) AlignLocal(len1, len2 int, score Scorer, gap float64, ops *cos
 	i, j := bi, bj
 	for i > 0 && j > 0 && dir[i*cols+j] != 0 {
 		switch dir[i*cols+j] {
-		case 1:
+		case moveDiag:
 			res.Pairs = append(res.Pairs, [2]int{i - 1, j - 1})
 			i--
 			j--
-		case 2:
+		case moveUp:
 			i--
 		default:
 			j--

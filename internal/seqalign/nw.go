@@ -27,17 +27,25 @@ type Scorer func(i, j int) float64
 // Aligner holds reusable DP buffers for aligning chains up to a given
 // size. It is not safe for concurrent use; each worker owns one.
 type Aligner struct {
-	val  []float64 // (len1+1) x (len2+1) DP values, row-major
-	path []bool    // true = cell reached by a diagonal (match) move
+	// val holds DP values: two rolling rows for the global aligners,
+	// the full (len1+1) x (len2+1) matrix for AlignLocal.
+	val []float64
+	// dir holds the (len1+1) x (len2+1) traceback moves, row-major
+	// (moveDiag, moveUp, moveLeft; 0 stops AlignLocal's traceback).
+	dir  []int8
 	cols int
 
 	// Affine (Gotoh) DP state, lazily sized by AlignAffine.
 	am, ax, ay    []float64
 	atm, atx, aty []int8
-
-	// Smith-Waterman traceback directions, lazily sized by AlignLocal.
-	dir []int8
 }
+
+// Traceback moves recorded per DP cell.
+const (
+	moveDiag int8 = 1 + iota // match (i-1, j-1)
+	moveUp                   // gap in chain 2 (i-1)
+	moveLeft                 // gap in chain 1 (j-1)
+)
 
 // NewAligner returns an Aligner with no pre-allocated capacity; buffers
 // grow on first use.
@@ -57,11 +65,12 @@ func growSlice[T any](s []T, n int) []T {
 	return make([]T, n, c)
 }
 
+// grow sizes the global aligners' buffers: the move matrix and two DP
+// value rows.
 func (a *Aligner) grow(len1, len2 int) {
-	n := (len1 + 1) * (len2 + 1)
-	a.val = growSlice(a.val, n)
-	a.path = growSlice(a.path, n)
 	a.cols = len2 + 1
+	a.dir = growSlice(a.dir, (len1+1)*a.cols)
+	a.val = growSlice(a.val, 2*a.cols)
 }
 
 // Align runs global DP over a len1 x len2 score matrix with the given
@@ -72,63 +81,64 @@ func (a *Aligner) grow(len1, len2 int) {
 //
 // The recurrence and traceback replicate TM-align's NWDP_TM: a gap costs
 // gapOpen only when the previous cell was reached by a match move, and
-// ties prefer the diagonal, then the vertical (j-1) move.
+// ties prefer the diagonal, then the vertical (j-1) move. The traceback
+// reads only each cell's recorded move (the fill compares the same two
+// gap candidates the reference traceback recomputes from the value
+// matrix), so only two rows of DP values are kept.
 func (a *Aligner) Align(len1, len2 int, score Scorer, gapOpen float64, invmap []int, ops *costmodel.Counter) {
 	if len(invmap) != len2 {
 		panic(fmt.Errorf("%w (Align: %d vs %d)", ErrInvmapLength, len(invmap), len2))
 	}
 	a.grow(len1, len2)
 	cols := a.cols
-	val, path := a.val, a.path
-
-	for i := 0; i <= len1; i++ {
-		val[i*cols] = 0
-		path[i*cols] = false
-	}
-	for j := 0; j <= len2; j++ {
-		val[j] = 0
-		path[j] = false
+	dir := a.dir
+	prevVal, rowVal := a.val[:cols], a.val[cols:2*cols]
+	clear(prevVal)
+	for j := 0; j < cols; j++ {
+		dir[j] = moveLeft
 	}
 
 	for i := 1; i <= len1; i++ {
 		row := i * cols
 		prev := row - cols
+		rowVal[0] = 0
+		dir[row] = moveUp
 		for j := 1; j <= len2; j++ {
-			d := val[prev+j-1] + score(i-1, j-1)
-			h := val[prev+j]
-			if path[prev+j] {
+			d := prevVal[j-1] + score(i-1, j-1)
+			h := prevVal[j]
+			if dir[prev+j] == moveDiag {
 				h += gapOpen
 			}
-			v := val[row+j-1]
-			if path[row+j-1] {
+			v := rowVal[j-1]
+			if dir[row+j-1] == moveDiag {
 				v += gapOpen
 			}
 			if d >= h && d >= v {
-				path[row+j] = true
-				val[row+j] = d
+				dir[row+j] = moveDiag
+				rowVal[j] = d
+			} else if v >= h {
+				dir[row+j] = moveLeft
+				rowVal[j] = v
 			} else {
-				path[row+j] = false
-				if v >= h {
-					val[row+j] = v
-				} else {
-					val[row+j] = h
-				}
+				dir[row+j] = moveUp
+				rowVal[j] = h
 			}
 		}
+		prevVal, rowVal = rowVal, prevVal
 	}
 	ops.AddDP(len1 * len2)
 
-	a.traceback(len1, len2, gapOpen, invmap)
+	a.traceback(len1, len2, invmap)
 }
 
 // AlignMatrix is Align over a dense row-major len1 x len2 score matrix
 // instead of a Scorer callback. It produces exactly the same alignment
-// and DP values as Align with score(i, j) = mat[i*len2+j]; the inner
-// loop reads the matrix row directly and carries the left/diagonal DP
-// cells in registers, so per-cell work has no function call, no
-// multiplication for indexing and no bounds checks. This is the hot
-// path of the TM-align DP refinement loop, where the score matrix is
-// precomputed from distances anyway.
+// as Align with score(i, j) = mat[i*len2+j]; the inner loop reads the
+// matrix row directly and carries the left/diagonal DP cells in
+// registers, so per-cell work has no function call, no multiplication
+// for indexing and no bounds checks. This is the hot path of the
+// TM-align DP refinement loop, where the score matrix is precomputed
+// from distances anyway.
 func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, invmap []int, ops *costmodel.Counter) {
 	if len(invmap) != len2 {
 		panic(fmt.Errorf("%w (AlignMatrix: %d vs %d)", ErrInvmapLength, len(invmap), len2))
@@ -138,89 +148,73 @@ func (a *Aligner) AlignMatrix(len1, len2 int, mat []float64, gapOpen float64, in
 	}
 	a.grow(len1, len2)
 	cols := a.cols
-	val, path := a.val, a.path
-
-	for i := 0; i <= len1; i++ {
-		val[i*cols] = 0
-		path[i*cols] = false
-	}
-	for j := 0; j <= len2; j++ {
-		val[j] = 0
-		path[j] = false
+	dir := a.dir
+	prevVal, rowVal := a.val[:cols], a.val[cols:2*cols]
+	clear(prevVal)
+	for j := 0; j < cols; j++ {
+		dir[j] = moveLeft
 	}
 
 	for i := 1; i <= len1; i++ {
-		rowVal := val[i*cols : i*cols+cols]
-		rowPath := path[i*cols : i*cols+cols]
-		prevVal := val[(i-1)*cols : i*cols]
-		prevPath := path[(i-1)*cols : i*cols]
+		rowDir := dir[i*cols : i*cols+cols]
+		prevDir := dir[(i-1)*cols : i*cols]
 		srow := mat[(i-1)*len2 : (i-1)*len2+len2]
-		vdiag := prevVal[0] // val[prev + (j-1)]
-		vleft := rowVal[0]  // val[row + (j-1)]
-		pleft := rowPath[0]
+		rowDir[0] = moveUp
+		rowVal[0] = 0
+		vdiag := prevVal[0] // val[i-1][j-1]
+		vleft := 0.0        // val[i][j-1]
+		pleft := false      // dir[i][j-1] == moveDiag
 		for j := 1; j <= len2; j++ {
 			d := vdiag + srow[j-1]
 			h := prevVal[j]
-			if prevPath[j] {
+			if prevDir[j] == moveDiag {
 				h += gapOpen
 			}
 			v := vleft
 			if pleft {
 				v += gapOpen
 			}
-			var cur float64
-			var curDiag bool
-			if d >= h && d >= v {
-				curDiag = true
-				cur = d
-			} else {
+			cur, m := d, moveDiag
+			if !(d >= h && d >= v) {
 				if v >= h {
-					cur = v
+					cur, m = v, moveLeft
 				} else {
-					cur = h
+					cur, m = h, moveUp
 				}
 			}
 			rowVal[j] = cur
-			rowPath[j] = curDiag
+			rowDir[j] = m
 			vdiag = prevVal[j]
 			vleft = cur
-			pleft = curDiag
+			pleft = m == moveDiag
 		}
+		prevVal, rowVal = rowVal, prevVal
 	}
 	ops.AddDP(len1 * len2)
 
-	a.traceback(len1, len2, gapOpen, invmap)
+	a.traceback(len1, len2, invmap)
 }
 
-// traceback recovers the NWDP_TM alignment from the filled val/path
-// tables into invmap (shared by Align and AlignMatrix; tie-breaking
-// prefers the diagonal, then the vertical move, as in the reference).
-func (a *Aligner) traceback(len1, len2 int, gapOpen float64, invmap []int) {
+// traceback recovers the NWDP_TM alignment from the recorded moves into
+// invmap (shared by Align and AlignMatrix; tie-breaking prefers the
+// diagonal, then the vertical move, as in the reference).
+func (a *Aligner) traceback(len1, len2 int, invmap []int) {
 	cols := a.cols
-	val, path := a.val, a.path
+	dir := a.dir
 	for j := range invmap {
 		invmap[j] = -1
 	}
 	i, j := len1, len2
 	for i > 0 && j > 0 {
-		if path[i*cols+j] {
+		switch dir[i*cols+j] {
+		case moveDiag:
 			invmap[j-1] = i - 1
 			i--
 			j--
-		} else {
-			h := val[(i-1)*cols+j]
-			if path[(i-1)*cols+j] {
-				h += gapOpen
-			}
-			v := val[i*cols+j-1]
-			if path[i*cols+j-1] {
-				v += gapOpen
-			}
-			if v >= h {
-				j--
-			} else {
-				i--
-			}
+		case moveLeft:
+			j--
+		default:
+			i--
 		}
 	}
 }

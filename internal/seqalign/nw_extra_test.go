@@ -13,24 +13,24 @@ import (
 func TestGrowSliceGeometric(t *testing.T) {
 	a := NewAligner()
 	a.grow(10, 10) // 121 cells
-	c1 := cap(a.val)
+	c1 := cap(a.dir)
 	if c1 < 121 {
 		t.Fatalf("cap after grow(10,10) = %d, want >= 121", c1)
 	}
 	// One cell over capacity: geometric growth must at least double,
 	// not allocate the exact new size.
 	a.grow(11, 11) // 144 cells — under 2*121
-	if cap(a.val) < 2*c1 {
-		t.Errorf("cap after grow(11,11) = %d, want >= %d (geometric doubling)", cap(a.val), 2*c1)
+	if cap(a.dir) < 2*c1 {
+		t.Errorf("cap after grow(11,11) = %d, want >= %d (geometric doubling)", cap(a.dir), 2*c1)
 	}
 	// A smaller request reuses the buffer.
-	c2 := cap(a.val)
+	c2 := cap(a.dir)
 	a.grow(5, 5)
-	if cap(a.val) != c2 {
-		t.Errorf("grow(5,5) reallocated: cap %d -> %d", c2, cap(a.val))
+	if cap(a.dir) != c2 {
+		t.Errorf("grow(5,5) reallocated: cap %d -> %d", c2, cap(a.dir))
 	}
-	if len(a.val) != 36 || len(a.path) != 36 {
-		t.Errorf("grow(5,5) lengths = %d/%d, want 36", len(a.val), len(a.path))
+	if len(a.dir) != 36 || len(a.val) != 12 {
+		t.Errorf("grow(5,5) lengths = %d/%d, want 36 moves and two 6-value rows", len(a.dir), len(a.val))
 	}
 
 	// A jump far beyond double allocates the requested size.
@@ -198,4 +198,92 @@ func FuzzAlign(f *testing.F) {
 			}
 		}
 	})
+}
+
+// referenceNWDP is TM-align's NWDP_TM as the reference writes it: the
+// full value matrix, a diagonal flag per cell, and a traceback that
+// recomputes the two gap candidates from the stored values.
+func referenceNWDP(len1, len2 int, mat []float64, gapOpen float64) []int {
+	cols := len2 + 1
+	val := make([]float64, (len1+1)*cols)
+	path := make([]bool, (len1+1)*cols)
+	for i := 1; i <= len1; i++ {
+		for j := 1; j <= len2; j++ {
+			d := val[(i-1)*cols+j-1] + mat[(i-1)*len2+j-1]
+			h := val[(i-1)*cols+j]
+			if path[(i-1)*cols+j] {
+				h += gapOpen
+			}
+			v := val[i*cols+j-1]
+			if path[i*cols+j-1] {
+				v += gapOpen
+			}
+			if d >= h && d >= v {
+				path[i*cols+j] = true
+				val[i*cols+j] = d
+			} else if v >= h {
+				val[i*cols+j] = v
+			} else {
+				val[i*cols+j] = h
+			}
+		}
+	}
+	invmap := make([]int, len2)
+	for j := range invmap {
+		invmap[j] = -1
+	}
+	i, j := len1, len2
+	for i > 0 && j > 0 {
+		if path[i*cols+j] {
+			invmap[j-1] = i - 1
+			i--
+			j--
+			continue
+		}
+		h := val[(i-1)*cols+j]
+		if path[(i-1)*cols+j] {
+			h += gapOpen
+		}
+		v := val[i*cols+j-1]
+		if path[i*cols+j-1] {
+			v += gapOpen
+		}
+		if v >= h {
+			j--
+		} else {
+			i--
+		}
+	}
+	return invmap
+}
+
+// TestReusedAlignerMatchesReference runs one Aligner through problems of
+// changing shape, so every call starts on the previous call's rows and
+// moves, and checks Align and AlignMatrix against the full-matrix
+// reference. Scores are drawn from a few values so ties, where the
+// traceback's tie-breaking decides, are common.
+func TestReusedAlignerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := NewAligner()
+	levels := []float64{-1, 0, 0.25, 0.5, 1}
+	for k := 0; k < 300; k++ {
+		len1, len2 := 1+rng.Intn(40), 1+rng.Intn(40)
+		gapOpen := []float64{0, -0.6, -1}[rng.Intn(3)]
+		mat := make([]float64, len1*len2)
+		for i := range mat {
+			mat[i] = levels[rng.Intn(len(levels))]
+		}
+		want := referenceNWDP(len1, len2, mat, gapOpen)
+		got := make([]int, len2)
+		if k%2 == 0 {
+			a.AlignMatrix(len1, len2, mat, gapOpen, got, nil)
+		} else {
+			a.Align(len1, len2, func(i, j int) float64 { return mat[i*len2+j] }, gapOpen, got, nil)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("problem %d (%dx%d, gap %g): invmap %v, reference %v", k, len1, len2, gapOpen, got, want)
+			}
+		}
+	}
 }

@@ -1,19 +1,70 @@
 package tmalign
 
 import (
+	"math"
+
+	"rckalign/internal/costmodel"
 	"rckalign/internal/geom"
+	"rckalign/internal/kernel"
 )
+
+// A comparison asks for the same work more than once: several initial
+// alignments refine into the same DP alignments, initialFragment
+// re-threads diagonals initialGapless already scored, and DP loops
+// revisit alignments. Each step below is a pure function of its key
+// within one comparison, so it is memoised in the workspace's PairMemo
+// (reset per comparison). A repeat returns the recorded result and adds
+// the exact op delta the step first charged, so results and the
+// simulated cost are the same as recomputing.
+
+// PairMemo key tags: the first word of every key names the step.
+const (
+	memoSearch = iota // detailedSearch of an alignment
+	memoFast          // scoreFast of an alignment
+	memoDP            // dpStep from a transform and gap-open penalty
+)
+
+// alignmentKey builds the PairMemo key of a step on invmap.
+func (c *ctx) alignmentKey(tag int, invmap []int) []int {
+	c.w.PairKey = kernel.AppendRuns(append(c.w.PairKey[:0], tag), invmap)
+	return c.w.PairKey
+}
+
+// recall looks key up in the comparison memo, inserting it when absent.
+// On a repeat it charges the recorded op delta and reports true; the
+// recorded value is then PairMemo.Val(e).
+func (c *ctx) recall(key []int) (e int, repeat bool) {
+	e, repeat = c.w.PairMemo.Find(key)
+	if repeat {
+		c.ops.Add(c.w.PairMemo.Val(e).Ops)
+	}
+	return e, repeat
+}
+
+// remember records v, and the ops charged since before, as entry e's
+// value.
+func (c *ctx) remember(e int, v kernel.Replay, before costmodel.Counter) {
+	v.Ops = c.ops.Sub(before)
+	*c.w.PairMemo.Val(e) = v
+}
 
 // detailedSearch gathers the aligned pairs of invmap and runs the
 // TM-score rotation search over them (TM-align's detailed_search with the
 // configured simplify step). Returns the TM-score (search normalization)
 // and the rotation achieving it.
 func (c *ctx) detailedSearch(invmap []int) (float64, geom.Transform) {
-	n := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm)
-	if n == 0 {
-		return 0, geom.IdentityTransform()
+	e, repeat := c.recall(c.alignmentKey(memoSearch, invmap))
+	if repeat {
+		v := c.w.PairMemo.Val(e)
+		return v.Score, v.T
 	}
-	return c.sp.SearchWS(c.w, c.xtm[:n], c.ytm[:n], c.opt.SimplifyStep, c.ops)
+	before := *c.ops
+	tm, tr := 0.0, geom.IdentityTransform()
+	if n := alignedPairs(c.x, c.y, invmap, c.xtm, c.ytm); n > 0 {
+		tm, tr = c.sp.SearchWS(c.w, c.xtm[:n], c.ytm[:n], c.opt.SimplifyStep, c.ops)
+	}
+	c.remember(e, kernel.Replay{Score: tm, T: tr}, before)
+	return tm, tr
 }
 
 // scoreFast is TM-align's get_score_fast: a cheap three-round estimate of
@@ -21,6 +72,18 @@ func (c *ctx) detailedSearch(invmap []int) (float64, geom.Transform) {
 // value is un-normalised; only comparisons against other scoreFast values
 // are meaningful).
 func (c *ctx) scoreFast(invmap []int) float64 {
+	e, repeat := c.recall(c.alignmentKey(memoFast, invmap))
+	if repeat {
+		return c.w.PairMemo.Val(e).Score
+	}
+	before := *c.ops
+	s := c.fastScore(invmap)
+	c.remember(e, kernel.Replay{Score: s}, before)
+	return s
+}
+
+// fastScore computes scoreFast without the memo.
+func (c *ctx) fastScore(invmap []int) float64 {
 	n := 0
 	for j, i := range invmap {
 		if i >= 0 {
@@ -118,21 +181,11 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 	best := c.w.InvDP[:c.ylen]
 	copy(best, invmap0)
 
-	d02 := c.sp.D0 * c.sp.D0
-	xt := c.xt[:c.xlen]
-
 	for _, gapOpen := range [2]float64{-0.6, 0} {
 		cur := tr
 		tmOld := 0.0
 		for iter := 0; iter < maxIter; iter++ {
-			// Score matrix from current rotation.
-			cur.ApplyAll(xt, c.x)
-			c.ops.AddRotate(c.xlen)
-			c.fillDistMatrix(xt, d02, false)
-			c.ops.AddScore(c.xlen * c.ylen)
-
-			c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, gapOpen, c.invTmp, c.ops)
-
+			c.dpStep(cur, gapOpen)
 			tm, trNew := c.detailedSearch(c.invTmp)
 			if tm > bestTM {
 				bestTM = tm
@@ -147,6 +200,40 @@ func (c *ctx) dpIter(invmap0 []int, tr geom.Transform, maxIter int) (float64, ge
 		}
 	}
 	return bestTM, bestTr, best
+}
+
+// dpStep is one refinement step of dpIter: the score matrix of the
+// chains under cur, aligned by NWDP with the given gap-open penalty into
+// c.invTmp. The step reads nothing but cur and gapOpen, so it is
+// memoised on their bits. cur is detailedSearch's transform for the
+// step's source alignment, so a repeated (alignment, gap-open) step
+// always hits.
+func (c *ctx) dpStep(cur geom.Transform, gapOpen float64) {
+	k := append(c.w.PairKey[:0], memoDP, int(math.Float64bits(gapOpen)))
+	for _, row := range cur.R {
+		for _, v := range row {
+			k = append(k, int(math.Float64bits(v)))
+		}
+	}
+	for _, v := range cur.T {
+		k = append(k, int(math.Float64bits(v)))
+	}
+	c.w.PairKey = k
+	e, repeat := c.recall(k)
+	if repeat {
+		kernel.DecodeRuns(c.invTmp[:0], c.w.PairMemo.Data(e))
+		return
+	}
+	before := *c.ops
+	xt := c.xt[:c.xlen]
+	cur.ApplyAll(xt, c.x)
+	c.ops.AddRotate(c.xlen)
+	c.fillDistMatrix(xt, c.sp.D0*c.sp.D0, false)
+	c.ops.AddScore(c.xlen * c.ylen)
+	c.nw.AlignMatrix(c.xlen, c.ylen, c.scoreMat, gapOpen, c.invTmp, c.ops)
+	c.remember(e, kernel.Replay{}, before)
+	c.w.PairKey = kernel.AppendRuns(c.w.PairKey[:0], c.invTmp)
+	c.w.PairMemo.SetData(e, c.w.PairKey)
 }
 
 func abs(x float64) float64 {

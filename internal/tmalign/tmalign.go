@@ -199,6 +199,7 @@ func CompareCAWS(w *kernel.Workspace, x, y []geom.Vec3, seq1, seq2 string, opt O
 	c.sec1 = ss.Assign(x)
 	c.sec2 = ss.Assign(y)
 	ops.AddSS(xlen + ylen)
+	w.PairMemo.Reset()
 
 	n := xlen
 	if ylen > n {

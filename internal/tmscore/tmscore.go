@@ -194,7 +194,8 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 	if n < liniMin {
 		liniMin = n
 	}
-	var ladder []int
+	var ladderBuf [nInitMax]int
+	ladder := ladderBuf[:0]
 	for i := 0; i < nInitMax-1; i++ {
 		l := n >> uint(i)
 		if l > liniMin {
@@ -205,6 +206,15 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 	}
 	ladder = append(ladder, liniMin)
 
+	// Trajectory replay needs op snapshots even when the caller does
+	// not count.
+	var discard costmodel.Counter
+	if ops == nil {
+		ops = &discard
+	}
+	memo := &w.SearchMemo
+	memo.Reset()
+
 	scoreMax := -1.0
 	bestT := geom.IdentityTransform()
 	w.ReserveSearch(n)
@@ -214,6 +224,7 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 	r1 := w.SearchR1[:n]
 	r2 := w.SearchR2[:n]
 	dis2 := w.SearchDis2[:n]
+	key := w.SearchKey
 
 	for _, lInit := range ladder {
 		iLMax := n - lInit + 1
@@ -229,9 +240,36 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 				bestT = tr
 			}
 
-			// Iterative extension with a looser cutoff.
+			// Iterative extension with a looser cutoff. Each step maps
+			// the index set iAli[:nCut] to the next one through a pure
+			// superpose -> rotate -> score, so the trajectory from a set
+			// is fixed within this search. Once a trajectory from a set
+			// has converged, rerunning it can only rescore values
+			// scoreMax already holds (it moves on a strict >), so a set
+			// seen again is skipped when its recorded length fits the
+			// remaining budget and only its op charge is replayed.
+			// open holds the trajectory's sets still awaiting a length.
 			d := p.D0Search + 1
-			for it := 0; it < searchIterations; it++ {
+			var open [searchIterations]pendingSet
+			nOpen := 0
+			for it := 0; ; it++ {
+				if nCut < 1 {
+					// No pairs: the trajectory ends without more work.
+					closeTrajectory(memo, open[:nOpen], it, ops)
+					break
+				}
+				if it == searchIterations {
+					break // budget exhausted: the length stays unknown
+				}
+				e, seen := memo.Find(setKey(key, iAli[:nCut]))
+				if v := memo.Val(e); seen && v.Steps > 0 && v.Steps <= searchIterations-it {
+					ops.Add(v.Ops)
+					closeTrajectory(memo, open[:nOpen], it+v.Steps, ops)
+					break
+				}
+				open[nOpen] = pendingSet{ent: e, it: it, ops: *ops}
+				nOpen++
+
 				ka := 0
 				for k := 0; k < nCut; k++ {
 					m := iAli[k]
@@ -239,9 +277,6 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 					r2[ka] = y[m]
 					kAli[ka] = m
 					ka++
-				}
-				if ka < 1 {
-					break
 				}
 				tr, _ = geom.Superpose(r1[:ka], r2[:ka])
 				ops.AddKabsch(ka)
@@ -261,6 +296,7 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 						}
 					}
 					if same {
+						closeTrajectory(memo, open[:nOpen], it+1, ops)
 						break // converged
 					}
 				}
@@ -268,6 +304,36 @@ func (p Params) SearchWS(w *kernel.Workspace, x, y []geom.Vec3, simplifyStep int
 		}
 	}
 	return scoreMax, bestT
+}
+
+// setKey writes the index set s (indices below 64*len(key)) into key
+// as a bitset: one bit per aligned pair, so every set of one search has
+// a key of the same few words.
+func setKey(key, s []int) []int {
+	clear(key)
+	for _, i := range s {
+		key[i>>6] |= 1 << (i & 63)
+	}
+	return key
+}
+
+// pendingSet is an extension index set of the running trajectory: its
+// memo entry, the iteration it started at and the op count before it.
+type pendingSet struct {
+	ent int
+	it  int
+	ops costmodel.Counter
+}
+
+// closeTrajectory records, for each open set of a trajectory that
+// converged (or ran out of pairs) at iteration end, how many steps the
+// trajectory took from it and what they charged.
+func closeTrajectory(memo *kernel.Memo[kernel.Trajectory], open []pendingSet, end int, ops *costmodel.Counter) {
+	for _, s := range open {
+		v := memo.Val(s.ent)
+		v.Steps = end - s.it
+		v.Ops = ops.Sub(s.ops)
+	}
 }
 
 // ScoreWithTransform returns the TM-score of the fixed alignment under a
