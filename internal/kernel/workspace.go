@@ -139,16 +139,45 @@ func (w *Workspace) ReserveSearch(n int) {
 	w.SearchKey = grow(w.SearchKey, (n+63)/64)
 }
 
-// idle holds workspaces between comparisons. Unlike a sync.Pool it is
-// not emptied by garbage collection: a workspace grown to the problem
-// size (score matrix, DP moves, memo tables) would otherwise be dropped
-// every other GC cycle and rebuilt from scratch, so its memory would be
-// allocated again and again and several generations of workspaces
-// would be live at once. At most GOMAXPROCS idle workspaces are kept;
-// extra ones are left to the garbage collector.
+// idle holds up to GOMAXPROCS workspaces between comparisons. A
+// sync.Pool keeps one per P and clears them at every collection, busy
+// or not, so two busy workers built eleven workspaces in three cold
+// CK34 passes, each grown from scratch, with several generations live
+// at once. Here a busy worker always gets a grown workspace back. Idle
+// ones are released only after a whole collection cycle passes without
+// a Get, so a process that has stopped comparing does not hold them.
 var idle struct {
 	sync.Mutex
-	ws []*Workspace
+	ws   []*Workspace
+	used bool // a Get happened since the last collection
+}
+
+func init() { watchGC() }
+
+// gcTick is a heap object whose finalizer runs after the next
+// collection. It holds a pointer so it is not batched into a tiny
+// allocation, whose finalizer might never run.
+type gcTick struct{ _ *int }
+
+// watchGC calls releaseUnused after the next collection and re-arms
+// itself.
+func watchGC() {
+	runtime.SetFinalizer(&gcTick{}, func(*gcTick) {
+		releaseUnused()
+		watchGC()
+	})
+}
+
+// releaseUnused drops the idle workspaces unless a Get happened since
+// its previous call.
+func releaseUnused() {
+	idle.Lock()
+	defer idle.Unlock()
+	if !idle.used {
+		clear(idle.ws)
+		idle.ws = idle.ws[:0]
+	}
+	idle.used = false
 }
 
 // Get checks a Workspace out of the package's idle list, or makes a new
@@ -157,6 +186,7 @@ var idle struct {
 func Get() *Workspace {
 	idle.Lock()
 	defer idle.Unlock()
+	idle.used = true
 	if n := len(idle.ws); n > 0 {
 		w := idle.ws[n-1]
 		idle.ws[n-1] = nil

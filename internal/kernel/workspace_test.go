@@ -2,26 +2,60 @@ package kernel
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 )
 
-// TestIdleWorkspaceSurvivesGC pins why Get/Put keep their own idle list:
-// a returned workspace, grown to its problem size, is handed out again
-// after garbage collections instead of being dropped and rebuilt.
-func TestIdleWorkspaceSurvivesGC(t *testing.T) {
+// TestIdleWorkspaceKeptWhileUsed pins the idle list's policy: a
+// returned workspace, grown to its problem size, is handed out again
+// after a sweep when a Get ran since the previous one, and released
+// after a sweep with none.
+func TestIdleWorkspaceKeptWhileUsed(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// A collection sweeps; with collection off afterwards, only the
+	// explicit sweeps below run.
+	awaitSweep(t)
+
 	w := Get()
 	w.ReserveMat(1 << 10)
 	Put(w)
-	runtime.GC()
-	runtime.GC()
+	releaseUnused()
 	got := Get()
-	defer Put(got)
 	if got != w {
-		t.Fatal("Get after two GCs returned a new workspace, not the idle one")
+		t.Fatal("a workspace used since the last sweep was not handed out again")
 	}
 	if cap(got.Mat) < 1<<10 {
 		t.Errorf("idle workspace lost its buffers: cap(Mat) = %d", cap(got.Mat))
+	}
+	Put(got)
+	releaseUnused() // keeps it: Get ran since the last sweep
+	releaseUnused() // releases it: no Get since
+	if got = Get(); got == w {
+		t.Error("a workspace idle for a whole sweep was not released")
+	}
+	Put(got)
+}
+
+// awaitSweep marks the idle list used, runs a collection and waits for
+// the sweep it triggers to clear the mark.
+func awaitSweep(t *testing.T) {
+	t.Helper()
+	idle.Lock()
+	idle.used = true
+	idle.Unlock()
+	runtime.GC()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		idle.Lock()
+		swept := !idle.used
+		idle.Unlock()
+		if swept {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no sweep after a collection")
+		}
 	}
 }
 
